@@ -35,11 +35,14 @@ use std::cmp::Ordering as CmpOrdering;
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 
+use crate::batch::ProbeCore;
 use crate::cell::{AtomOf, CellAtomic};
 use crate::entry::HashEntry;
 use crate::phase::{
     ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
 };
+use crate::resize::FlatTableCore;
+use crate::simd::Kernel;
 
 /// The deterministic phase-concurrent linear-probing hash table.
 ///
@@ -81,14 +84,6 @@ impl<E: HashEntry> DetHashTable<E> {
         }
     }
 
-    /// Creates a table with at least `capacity / max_load` cells
-    /// (rounded up to a power of two).
-    pub fn with_capacity_for(n_items: usize, max_load: f64) -> Self {
-        assert!(max_load > 0.0 && max_load < 1.0);
-        let want = ((n_items as f64 / max_load).ceil() as usize).max(4);
-        Self::new_pow2(want.next_power_of_two().trailing_zeros())
-    }
-
     /// Number of cells.
     #[inline]
     pub fn capacity(&self) -> usize {
@@ -107,43 +102,12 @@ impl<E: HashEntry> DetHashTable<E> {
     /// whose reprs are canonical; pointer entries are deterministic at
     /// the payload level instead).
     pub fn snapshot(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .collect()
+        crate::batch::snapshot(&self.cells)
     }
 
     #[inline]
     fn slot(&self, hash: u64) -> usize {
         (hash as usize) & self.mask
-    }
-
-    #[inline]
-    fn load_at(&self, virtual_idx: usize) -> u64 {
-        self.cells[virtual_idx & self.mask].load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn cas_at(&self, virtual_idx: usize, old: u64, new: u64) -> bool {
-        self.cells[virtual_idx & self.mask]
-            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Forward distance from bucket `from` to bucket `to` (both already
-    /// reduced), in `[0, capacity)`.
-    #[inline]
-    fn dist(&self, from: usize, to: usize) -> usize {
-        (to.wrapping_sub(from)) & self.mask
-    }
-
-    /// The virtual hash position of the entry `repr` observed at
-    /// virtual index `at`: the largest virtual index ≤ `at` congruent
-    /// to its hash bucket. Exact whenever the entry lies inside its
-    /// cluster (always true while the table is not full).
-    #[inline]
-    fn lift_hash(&self, repr: u64, at: usize) -> usize {
-        at - self.dist(self.slot(E::hash(repr)), at & self.mask)
     }
 
     /// Inserts an entry (Figure 1, `INSERT`). Safe to call from any
@@ -158,7 +122,7 @@ impl<E: HashEntry> DetHashTable<E> {
     /// around), matching the paper's precondition that
     /// `|contents ∪ inserts| < |M|`.
     pub fn insert(&self, e: E) {
-        self.insert_repr(e.to_repr());
+        self.insert_counted(e);
     }
 
     /// Like [`insert`](Self::insert), but returns `true` iff the call
@@ -169,35 +133,17 @@ impl<E: HashEntry> DetHashTable<E> {
     /// threads), not a statement about this particular key. Used by
     /// [`crate::resize::ResizableTable`] for exact load accounting.
     pub fn insert_counted(&self, e: E) -> bool {
-        self.insert_repr(e.to_repr())
+        debug_assert_ne!(
+            e.to_repr(),
+            E::FORWARD,
+            "the forwarding sentinel is not insertable"
+        );
+        FlatTableCore::insert_counted(self, e)
     }
 
-    pub(crate) fn insert_repr(&self, v: u64) -> bool {
-        match self.try_insert_repr(v) {
-            Ok(filled) => filled,
-            Err(_) => panic!(
-                "DetHashTable::insert: table is full (capacity {})",
-                self.cells.len()
-            ),
-        }
-    }
-
-    /// Like [`insert_repr`](Self::insert_repr), but reports a full
-    /// table instead of panicking: `Err(carried)` hands back the repr
-    /// still looking for a home once the probe has wrapped the whole
-    /// array. Any displacements performed before the wrap stand — the
-    /// carried entry is no longer stored anywhere, so the caller must
-    /// re-home it (the cooperative resizer routes it to the successor
-    /// table).
-    pub(crate) fn try_insert_repr(&self, mut v: u64) -> Result<bool, u64> {
-        debug_assert_ne!(v, E::EMPTY);
-        debug_assert_ne!(v, E::FORWARD, "the forwarding sentinel is not insertable");
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return self.try_insert_repr_wide(v, key_mask);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
+    /// The scalar insert loop: the reference semantics every tier's
+    /// wide insert must reproduce.
+    fn try_insert_scalar(&self, mut v: u64) -> Result<bool, u64> {
         let mut i = self.slot(E::hash(v));
         let mut steps = 0usize;
         let mut cas_fails = 0usize;
@@ -279,53 +225,15 @@ impl<E: HashEntry> DetHashTable<E> {
     /// further on — which is also exactly what the scalar loop would do
     /// on its next look at that cell.
     ///
-    /// The tier is resolved *once* here and a concrete kernel bound
-    /// inside a `#[target_feature]` body (mirroring `find_batch`), so
-    /// the probe loop pays no per-window dispatch.
-    fn try_insert_repr_wide(&self, v: u64, key_mask: u64) -> Result<bool, u64> {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                // SAFETY: `tier()` reports Avx2 only when the CPU
-                // supports it.
-                crate::simd::SimdTier::Avx2 => unsafe { self.try_insert_wide_avx2(v, key_mask) },
-                _ => self.try_insert_wide_sse2(v, key_mask),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.try_insert_repr_wide_with(v, key_mask, &|cells, start, end, thr| {
-                crate::simd::scan_le(cells, start, end, key_mask, thr)
-            })
-        }
-    }
-
-    /// AVX2 instantiation of the wide insert (see `find_batch_avx2` for
-    /// the pattern: the kernel closure inlines into the probe loop).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn try_insert_wide_avx2(&self, v: u64, key_mask: u64) -> Result<bool, u64> {
-        self.try_insert_repr_wide_with(v, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation (baseline on x86_64; no feature gate needed).
-    #[cfg(target_arch = "x86_64")]
-    fn try_insert_wide_sse2(&self, v: u64, key_mask: u64) -> Result<bool, u64> {
-        self.try_insert_repr_wide_with(v, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The wide insert body, generic over the bound scan kernel.
+    /// Written once over the bound kernel `k`; [`crate::simd::dispatch`]
+    /// resolves the tier once per operation or batch, so the probe loop
+    /// pays no per-window dispatch.
     #[inline(always)]
-    fn try_insert_repr_wide_with(
+    fn try_insert_repr_wide_with<K: Kernel>(
         &self,
         mut v: u64,
         key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
+        k: K,
     ) -> Result<bool, u64> {
         let n = self.cells.len();
         let mut i = self.slot(E::hash(v));
@@ -346,14 +254,7 @@ impl<E: HashEntry> DetHashTable<E> {
                 lanes_total += 1;
                 (i, peek)
             } else {
-                let (hit, lanes) = scan(&self.cells, i, n, thr);
-                let (hit, lanes) = match hit {
-                    Some(_) => (hit, lanes),
-                    None => {
-                        let (wrapped, more) = scan(&self.cells, 0, i, thr);
-                        (wrapped, lanes + more)
-                    }
-                };
+                let (hit, lanes) = k.scan_le_wrapping(&self.cells, i, key_mask, thr);
                 lanes_total += lanes;
                 match hit {
                     Some(h) => h,
@@ -456,101 +357,7 @@ impl<E: HashEntry> DetHashTable<E> {
     /// and since insertion order never affects the layout (history
     /// independence), identical to *any* insertion of the same set.
     pub fn insert_batch(&self, entries: &[E]) {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        let n = entries.len();
-        if n == 0 {
-            return;
-        }
-        // Batch-level tier dispatch, as in `find_batch`: resolve the
-        // tier once per batch, bind the matching kernel, and run the
-        // whole prefetching insert loop inside one `#[target_feature]`
-        // body.
-        #[cfg(target_arch = "x86_64")]
-        if let Some(key_mask) = E::SIMD_KEY_MASK {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    // SAFETY: `tier()` reports Avx2 only when the CPU
-                    // supports it.
-                    unsafe { self.insert_batch_avx2(entries, key_mask) };
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return;
-                }
-                crate::simd::SimdTier::Sse2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    self.insert_batch_sse2(entries, key_mask);
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return;
-                }
-                crate::simd::SimdTier::Scalar => {}
-            }
-        }
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(E::hash(e.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            self.insert_repr(entries[i].to_repr());
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-    }
-
-    /// AVX2 instantiation of the batched wide insert.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn insert_batch_avx2(&self, entries: &[E], key_mask: u64) {
-        self.insert_batch_wide_body(entries, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// SSE2 instantiation of the batched wide insert.
-    #[cfg(target_arch = "x86_64")]
-    fn insert_batch_sse2(&self, entries: &[E], key_mask: u64) {
-        self.insert_batch_wide_body(entries, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// The prefetching insert loop shared by the per-tier batch entry
-    /// points. Uses the *gated* insert prefetch distance: on a
-    /// multi-worker pool, deep write-side prefetch pipelines fight both
-    /// the hardware prefetcher and other writers' in-flight lines (the
-    /// slots are about to be dirtied), so the lookahead shrinks when
-    /// more than one pool worker is active.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn insert_batch_wide_body(
-        &self,
-        entries: &[E],
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(E::hash(e.to_repr())));
-        }
-        for i in 0..entries.len() {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            if self
-                .try_insert_repr_wide_with(entries[i].to_repr(), key_mask, scan)
-                .is_err()
-            {
-                panic!(
-                    "DetHashTable::insert: table is full (capacity {})",
-                    self.cells.len()
-                );
-            }
-        }
+        crate::batch::insert_batch(self, entries)
     }
 
     /// Inserts a slice in parallel through the batched prefetching
@@ -558,142 +365,30 @@ impl<E: HashEntry> DetHashTable<E> {
     /// processed by [`insert_batch`](Self::insert_batch). The final
     /// layout equals that of any other insertion of the same set.
     pub fn par_insert_batched(&self, entries: &[E]) {
-        use rayon::prelude::*;
-        entries
-            .par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.insert_batch(chunk));
+        crate::batch::par_chunked(entries, |c| self.insert_batch(c))
     }
 
     /// Looks up the entry with `key`'s key part (Figure 1, `FIND`).
     /// Safe to call concurrently with other finds and `elements`.
     pub fn find(&self, key: E) -> Option<E> {
-        self.find_repr(key.to_repr()).map(E::from_repr)
-    }
-
-    /// Prefetches `v`'s home-slot cache line (see [`crate::batch`]) so
-    /// external batch loops — the growable wrapper's threshold-counting
-    /// insert, for one — can pipeline their misses like the in-core
-    /// batch kernels do.
-    #[inline]
-    pub(crate) fn prefetch_repr(&self, v: u64) {
-        crate::batch::prefetch_slot(&self.cells, self.slot(E::hash(v)));
+        FlatTableCore::find(self, key)
     }
 
     /// Looks up a batch of keys with software prefetching (the read
     /// analogue of [`insert_batch`](Self::insert_batch)), returning
     /// results in key order: `out[i] == self.find(keys[i])`.
     pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return out;
-        }
-        // Batch-level tier dispatch: resolve the tier once for the
-        // whole batch and bind the matching kernel, so the vector scan
-        // inlines into the prefetching loop instead of paying dispatch
-        // plus call overhead on every key.
-        #[cfg(target_arch = "x86_64")]
-        if let Some(key_mask) = E::SIMD_KEY_MASK {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    // SAFETY: `tier()` reports Avx2 only when the CPU
-                    // supports it.
-                    unsafe { self.find_batch_avx2(keys, key_mask, &mut out) };
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return out;
-                }
-                crate::simd::SimdTier::Sse2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    self.find_batch_sse2(keys, key_mask, &mut out);
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return out;
-                }
-                crate::simd::SimdTier::Scalar => {}
-            }
-        }
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            out.push(self.find_repr(keys[i].to_repr()).map(E::from_repr));
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-        out
-    }
-
-    /// AVX2 instantiation of the batched wide find: compiled with the
-    /// feature enabled so the kernel closure (and the `scan_le` AVX2
-    /// kernel it wraps) inlines into the whole loop.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_batch_avx2(&self, keys: &[E], key_mask: u64, out: &mut Vec<Option<E>>) {
-        self.find_batch_wide_body(keys, key_mask, out, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// SSE2 instantiation of the batched wide find (SSE2 is baseline on
-    /// x86_64, so no `target_feature` gate is needed).
-    #[cfg(target_arch = "x86_64")]
-    fn find_batch_sse2(&self, keys: &[E], key_mask: u64, out: &mut Vec<Option<E>>) {
-        self.find_batch_wide_body(keys, key_mask, out, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// The prefetching lookup loop shared by the per-tier batch entry
-    /// points, generic over the bound scan kernel.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn find_batch_wide_body(
-        &self,
-        keys: &[E],
-        key_mask: u64,
-        out: &mut Vec<Option<E>>,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..keys.len() {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            out.push(
-                self.find_repr_wide_with(keys[i].to_repr(), key_mask, scan)
-                    .map(E::from_repr),
-            );
-        }
+        crate::batch::find_batch(self, keys)
     }
 
     /// Parallel batched lookup: results in key order, computed in
     /// grain-sized prefetching chunks on the scheduler.
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .flat_map_iter(|chunk| self.find_batch(chunk))
-            .collect()
+        crate::batch::par_chunked_map(keys, |c| self.find_batch(c))
     }
 
-    pub(crate) fn find_repr(&self, probe: u64) -> Option<u64> {
-        debug_assert_ne!(probe, E::EMPTY);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return self.find_repr_wide(probe, key_mask);
-            }
-            // Entry type without a maskable key (pointer entries):
-            // only the scalar probe understands it.
-            phc_obs::probe!(count SimdFallbacks);
-        }
+    /// The scalar lookup loop (reference semantics).
+    fn find_scalar(&self, probe: u64) -> Option<u64> {
         let mut i = self.slot(E::hash(probe));
         let mut steps = 0usize;
         let result = 'scan: {
@@ -738,67 +433,12 @@ impl<E: HashEntry> DetHashTable<E> {
     /// or lower priority) — exactly where the scalar loop stops. Find
     /// phases are quiescent, so the wide loads race with nothing and
     /// the result is byte-identical to the scalar path.
-    fn find_repr_wide(&self, probe: u64, key_mask: u64) -> Option<u64> {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                // SAFETY: `tier()` reports Avx2 only when the CPU
-                // supports it.
-                crate::simd::SimdTier::Avx2 => unsafe { self.find_wide_avx2(probe, key_mask) },
-                _ => self.find_wide_sse2(probe, key_mask),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.find_repr_wide_with(probe, key_mask, &|cells, start, end, thr| {
-                crate::simd::scan_le(cells, start, end, key_mask, thr)
-            })
-        }
-    }
-
-    /// AVX2 instantiation of the single-key wide find: binds the kernel
-    /// once per operation instead of once per probe window.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_wide_avx2(&self, probe: u64, key_mask: u64) -> Option<u64> {
-        self.find_repr_wide_with(probe, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation of the single-key wide find.
-    #[cfg(target_arch = "x86_64")]
-    fn find_wide_sse2(&self, probe: u64, key_mask: u64) -> Option<u64> {
-        self.find_repr_wide_with(probe, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// [`find_repr_wide`] with the scan kernel abstracted out, so the
-    /// batch paths can bind a tier-specific kernel once per batch (and
-    /// have it inline into the whole prefetching loop) while the
-    /// single-key path keeps per-call dispatch. `scan` must implement
-    /// the [`scan_le`](crate::simd::scan_le) stop condition on
-    /// `(cells, start, end, threshold)`.
     #[inline(always)]
-    fn find_repr_wide_with(
-        &self,
-        probe: u64,
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Option<u64> {
+    fn find_repr_wide_with<K: Kernel>(&self, probe: u64, key_mask: u64, k: K) -> Option<u64> {
         let n = self.cells.len();
         let home = self.slot(E::hash(probe));
         let thr = probe & key_mask;
-        let (hit, lanes) = scan(&self.cells, home, n, thr);
-        let (hit, lanes) = match hit {
-            Some(_) => (hit, lanes),
-            None => {
-                let (wrapped, more) = scan(&self.cells, 0, home, thr);
-                (wrapped, lanes + more)
-            }
-        };
+        let (hit, lanes) = k.scan_le_wrapping(&self.cells, home, key_mask, thr);
         phc_obs::probe!(count SimdLanesScanned, lanes);
         phc_obs::probe!(hist SimdLanesPerProbe, lanes);
         match hit {
@@ -852,22 +492,7 @@ impl<E: HashEntry> DetHashTable<E> {
     /// layout is history-independent, identical to any other deletion
     /// of the same key set.
     pub fn delete_batch(&self, keys: &[E]) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        if n == 0 {
-            return;
-        }
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            self.delete_repr(keys[i].to_repr());
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
+        crate::batch::delete_batch(self, keys)
     }
 
     /// Deletes a slice in parallel through the batched prefetching
@@ -875,11 +500,10 @@ impl<E: HashEntry> DetHashTable<E> {
     /// processed by [`delete_batch`](Self::delete_batch). The final
     /// layout equals that of any other deletion of the same set.
     pub fn par_delete_batched(&self, keys: &[E]) {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.delete_batch(chunk));
+        crate::batch::par_chunked(keys, |c| self.delete_batch(c))
     }
 
+    #[inline]
     pub(crate) fn delete_repr(&self, probe: u64) -> bool {
         debug_assert_ne!(probe, E::EMPTY);
         let m = self.cells.len();
@@ -933,7 +557,7 @@ impl<E: HashEntry> DetHashTable<E> {
                     // are responsible for deleting the one at `j`.
                     v = vprime;
                     k = j;
-                    i = self.lift_hash(vprime, j);
+                    i = self.lift_home(vprime, j);
                 } else {
                     break true;
                 }
@@ -952,70 +576,15 @@ impl<E: HashEntry> DetHashTable<E> {
     /// the entry that may legally fill the hole at virtual index `i`
     /// (or ⊥), and `j` is its (virtual) location.
     fn find_replacement(&self, i: usize) -> (usize, u64) {
-        // Scan up past entries that hash strictly after `i` (those may
-        // not move back to `i`). The per-cell predicate hashes the
-        // entry, so it cannot be a vector compare; instead the loads
-        // come in wide windows ([`crate::simd::load_window`]) and the
-        // predicate runs on the buffered lanes. Each lane is a valid
-        // (non-torn) cell value, which is all this scan ever relied on:
-        // concurrent deletes can move the candidate down after *any*
-        // load, wide or scalar, and the downward re-scan below plus the
-        // caller's CAS already recover from that.
-        let n = self.cells.len();
-        let mut buf = [0u64; crate::simd::MAX_WINDOW];
-        let mut next = i + 1;
-        let (mut j, mut v) = 'up: loop {
-            let real = next & self.mask;
-            let k = crate::simd::load_window(
-                &self.cells,
-                real,
-                n.min(real + crate::simd::MAX_WINDOW),
-                &mut buf,
-            );
-            phc_obs::probe!(count SimdLanesScanned, k);
-            for (lane, &val) in buf[..k].iter().enumerate() {
-                let jj = next + lane;
-                // The `FORWARD` exclusion is defensive: the sentinel is
-                // not a hashable entry (`lift_hash` would interpret
-                // garbage), and a sweep never races a delete.
-                if val == E::EMPTY || (val != E::FORWARD && self.lift_hash(val, jj) <= i) {
-                    break 'up (jj, val);
-                }
-            }
-            next += k;
-        };
-        // The candidate may have been shifted down by a concurrent
-        // delete while we scanned; walk back down to find its current
-        // position. (The paper notes this second, downward loop is
-        // essential.)
-        let mut k = j - 1;
-        while k > i {
-            let vp = self.load_at(k);
-            if vp == E::EMPTY || (vp != E::FORWARD && self.lift_hash(vp, k) <= i) {
-                v = vp;
-                j = k;
-            }
-            k -= 1;
-        }
-        (j, v)
+        crate::batch::find_replacement(self, i)
     }
 
     /// Packs the non-empty cells into a vector in cell order (paper §4,
-    /// `ELEMENTS`). Runs in parallel via a prefix sum, so the output is
-    /// deterministic. Safe to call concurrently with finds.
+    /// `ELEMENTS`). Runs in parallel via a prefix sum over wide-scan
+    /// occupancy masks, so the output is deterministic and identical
+    /// at every dispatch tier. Safe to call concurrently with finds.
     pub fn elements(&self) -> Vec<E> {
-        // Mask-based pack: the count pass popcounts wide-scan occupancy
-        // masks instead of testing cells one by one, and only the
-        // surviving cells are decoded. The offsets still come from the
-        // same deterministic prefix sum, so the output is identical to
-        // the per-cell path at every dispatch tier.
-        let packed = phc_parutil::pack_with_mask(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(c.load(Ordering::Acquire)),
-        );
-        phc_obs::probe!(hist PackSize, packed.len());
-        packed
+        crate::batch::elements(self)
     }
 
     /// [`elements`](Self::elements) into a caller-provided buffer:
@@ -1025,40 +594,18 @@ impl<E: HashEntry> DetHashTable<E> {
     /// a fresh `Vec` each time. The appended suffix is identical to
     /// what `elements()` returns.
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        let base = out.len();
-        phc_parutil::pack_with_mask_into(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(c.load(Ordering::Acquire)),
-            out,
-        );
-        phc_obs::probe!(hist PackSize, out.len() - base);
+        crate::batch::elements_into(self, out)
     }
 
     /// Applies `f` to every entry stored in the cell range (clamped to
     /// the capacity), sequentially and in cell order.
     ///
     /// This is the migration primitive of the cooperative resizer
-    /// ([`crate::resize::ResizableTable`]): threads claim disjoint
-    /// block ranges of a frozen table and drain them independently. The
-    /// caller must guarantee no concurrent mutation of the scanned
-    /// cells; with that guarantee the visit is exact.
-    pub fn for_each_in_range(&self, range: std::ops::Range<usize>, mut f: impl FnMut(E)) {
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        // Wide occupancy mask per 64-cell window, then visit only the
-        // set bits (ascending, preserving cell order). The range is
-        // quiescent per the caller's contract, so the masks are exact.
-        let mut base = start;
-        for win in self.cells[start..end].chunks(64) {
-            let mut bits = crate::simd::scan_nonempty_mask(win, E::EMPTY);
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(E::from_repr(self.cells[base + j].load(Ordering::Acquire)));
-            }
-            base += win.len();
-        }
+    /// ([`crate::resize::ResizableTable`]). The caller must guarantee
+    /// no concurrent mutation of the scanned cells; with that guarantee
+    /// the visit is exact.
+    pub fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
+        crate::batch::for_each_in_range(self, range, f)
     }
 
     /// Claims every cell in `range` (clamped to the capacity) for
@@ -1075,15 +622,7 @@ impl<E: HashEntry> DetHashTable<E> {
     /// Empty cells are claimed too, so a late insert can never land
     /// *behind* the sweep in already-claimed territory.
     pub fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        for cell in &self.cells[start..end] {
-            let prev = cell.swap(E::FORWARD, Ordering::AcqRel);
-            debug_assert_ne!(prev, E::FORWARD, "migration block claimed twice");
-            if prev != E::EMPTY {
-                out.push(prev);
-            }
-        }
+        crate::batch::claim_range_forward(self, range, out)
     }
 
     /// Applies `f` to every stored entry, in parallel, without
@@ -1093,13 +632,7 @@ impl<E: HashEntry> DetHashTable<E> {
     /// use [`elements`](Self::elements) when a deterministic sequence
     /// matters.
     pub fn for_each_entry(&self, f: impl Fn(E) + Send + Sync) {
-        use rayon::prelude::*;
-        self.cells.par_iter().with_min_len(4096).for_each(|c| {
-            let v = c.load(Ordering::Acquire);
-            if v != E::EMPTY {
-                f(E::from_repr(v));
-            }
-        });
+        crate::batch::for_each_entry(self, f)
     }
 
     /// Number of occupied cells.
@@ -1114,11 +647,46 @@ impl<E: HashEntry> DetHashTable<E> {
 
     /// Removes every entry (parallel).
     pub fn clear(&mut self) {
-        use rayon::prelude::*;
-        self.cells
-            .par_iter()
-            .with_min_len(4096)
-            .for_each(|c| c.store(E::EMPTY, Ordering::Relaxed));
+        crate::batch::clear(&self.cells, E::EMPTY)
+    }
+}
+
+impl<E: HashEntry> ProbeCore for DetHashTable<E> {
+    type Entry = E;
+    type Fill = bool;
+    const TYPE_NAME: &'static str = "DetHashTable";
+
+    #[inline]
+    fn cells(&self) -> &[AtomOf<E::Repr>] {
+        &self.cells
+    }
+    #[inline]
+    fn home(&self, v: u64) -> usize {
+        self.slot(E::hash(v))
+    }
+    #[inline]
+    fn insert_scalar(&self, v: u64, _tok: u64) -> Result<bool, u64> {
+        self.try_insert_scalar(v)
+    }
+    #[inline(always)]
+    fn insert_wide<K: Kernel>(&self, v: u64, _tok: u64, k: K) -> Result<bool, u64> {
+        self.try_insert_repr_wide_with(v, crate::batch::wide_key_mask::<E>(), k)
+    }
+    #[inline]
+    fn find_scalar(&self, v: u64) -> Option<u64> {
+        DetHashTable::find_scalar(self, v)
+    }
+    #[inline(always)]
+    fn find_wide<K: Kernel>(&self, v: u64, k: K) -> Option<u64> {
+        self.find_repr_wide_with(v, crate::batch::wide_key_mask::<E>(), k)
+    }
+    #[inline]
+    fn delete(&self, v: u64, _tok: u64) -> bool {
+        self.delete_repr(v)
+    }
+    #[inline]
+    fn filled(fill: bool) -> bool {
+        fill
     }
 }
 

@@ -47,6 +47,20 @@
 //!   which may use the scanned window value directly), and retries a
 //!   bounded number of times on a miss that raced an active writer.
 //!
+//! ## Chased copies
+//!
+//! A delete's copy-down leaves two copies of the moved entry `y` until
+//! its chase removes the upper one; the chase owes exactly one removal.
+//! An insert must not consume that surplus copy itself — by carrying a
+//! displaced copy of `y` into the other copy (a merge), or by a repair
+//! that pulls its own copy of `y` out and re-inserts it onto the other
+//! — or the chase removes the survivor and `y` is lost. Chasers
+//! therefore *announce* the keys whose surplus copies they own (from
+//! before each copy-down until the matching removal), and the merge
+//! and repair paths wait out an announced chase of their key before
+//! acting. Chasers never wait on inserts, and the repairs a delete owes
+//! run only after its chase has ended, so the waits cannot cycle.
+//!
 //! The handshake makes the repairs cover each other: an insert placing
 //! at time `T1` validates at `T2 > T1`; a delete writing at `T3`
 //! revalidates at `T4 > T3`. If `T3 < T2` the insert's validation sees
@@ -63,11 +77,14 @@ use std::cmp::Ordering as CmpOrdering;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::batch::ProbeCore;
 use crate::cell::{AtomOf, CellAtomic};
 use crate::entry::HashEntry;
 use crate::phase::{
     ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
 };
+use crate::resize::FlatTableCore;
+use crate::simd::Kernel;
 
 /// One writer-start unit in the epoch half of a state word.
 const EPOCH_ONE: u64 = 1 << 32;
@@ -75,6 +92,8 @@ const EPOCH_ONE: u64 = 1 << 32;
 const ACTIVE_MASK: u64 = EPOCH_ONE - 1;
 /// Bounded retries for a find that misses while writers are active.
 const FIND_RETRIES: usize = 8;
+/// Chasers that can announce at once (one bit each in `chase_claims`).
+const CHASE_SLOTS: usize = 64;
 
 /// Debug-build witness that a speculative wide-scan hit was confirmed
 /// through a per-cell atomic re-read before use (the fc analogue of
@@ -112,6 +131,11 @@ pub struct FcHashTable<E: HashEntry> {
     ins_state: AtomicU64,
     /// `(delete starts << 32) | active deletes`.
     del_state: AtomicU64,
+    /// Keys with an in-flight copy-down chase, two lanes per chaser
+    /// (see [`Chase`]); `E::EMPTY` marks an idle lane.
+    chases: Box<[AtomicU64]>,
+    /// Bit `s` set while chaser slot `s` is claimed.
+    chase_claims: AtomicU64,
     _entry: PhantomData<E>,
 }
 
@@ -129,16 +153,12 @@ impl<E: HashEntry> FcHashTable<E> {
             mask: n - 1,
             ins_state: AtomicU64::new(0),
             del_state: AtomicU64::new(0),
+            chases: (0..2 * CHASE_SLOTS)
+                .map(|_| AtomicU64::new(E::EMPTY))
+                .collect(),
+            chase_claims: AtomicU64::new(0),
             _entry: PhantomData,
         }
-    }
-
-    /// Creates a table with at least `n_items / max_load` cells
-    /// (rounded up to a power of two).
-    pub fn with_capacity_for(n_items: usize, max_load: f64) -> Self {
-        assert!(max_load > 0.0 && max_load < 1.0);
-        let want = ((n_items as f64 / max_load).ceil() as usize).max(4);
-        Self::new_pow2(want.next_power_of_two().trailing_zeros())
     }
 
     /// Number of cells.
@@ -157,41 +177,12 @@ impl<E: HashEntry> FcHashTable<E> {
     /// a [`DetHashTable`](crate::det::DetHashTable) snapshot of that
     /// set. Taken under concurrent writers the result is a racy read.
     pub fn snapshot(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .collect()
+        crate::batch::snapshot(&self.cells)
     }
 
     #[inline]
     fn slot(&self, hash: u64) -> usize {
         (hash as usize) & self.mask
-    }
-
-    #[inline]
-    fn load_at(&self, virtual_idx: usize) -> u64 {
-        self.cells[virtual_idx & self.mask].load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn cas_at(&self, virtual_idx: usize, old: u64, new: u64) -> bool {
-        self.cells[virtual_idx & self.mask]
-            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Forward distance from bucket `from` to bucket `to` (both already
-    /// reduced), in `[0, capacity)`.
-    #[inline]
-    fn dist(&self, from: usize, to: usize) -> usize {
-        (to.wrapping_sub(from)) & self.mask
-    }
-
-    /// Virtual hash position of `repr` observed at virtual index `at`
-    /// (see `det.rs` on wraparound handling).
-    #[inline]
-    fn lift_hash(&self, repr: u64, at: usize) -> usize {
-        at - self.dist(self.slot(E::hash(repr)), at & self.mask)
     }
 
     /// Whether an opposite-kind writer overlapped: it was active when
@@ -234,48 +225,14 @@ impl<E: HashEntry> FcHashTable<E> {
     /// insert/delete overlap a repair may cancel the credit; the
     /// returned bool reports the *net* outcome of this call.
     pub fn insert_counted(&self, e: E) -> bool {
-        self.ins_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        let del0 = self.del_state.load(Ordering::SeqCst);
-        let r = match self.try_insert_net(e.to_repr(), del0) {
-            Ok(net) => net > 0,
-            Err(_) => {
-                self.ins_state.fetch_sub(1, Ordering::SeqCst);
-                panic!(
-                    "FcHashTable::insert: table is full (capacity {})",
-                    self.cells.len()
-                );
-            }
-        };
-        self.ins_state.fetch_sub(1, Ordering::SeqCst);
-        r
+        FlatTableCore::insert_counted(self, e)
     }
 
-    /// Registered fallible insert for the growable wrapper: `Err(v)`
-    /// hands back the carried repr when the probe wraps (table full).
-    pub(crate) fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        self.ins_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        let del0 = self.del_state.load(Ordering::SeqCst);
-        let r = self.try_insert_net(v, del0);
-        self.ins_state.fetch_sub(1, Ordering::SeqCst);
-        r.map(|net| net > 0)
-    }
-
-    /// Core insert; caller must be registered on `ins_state`. Returns
-    /// the net number of cells this call filled (0 or 1 at quiescence).
-    fn try_insert_net(&self, v: u64, del0: u64) -> Result<i64, u64> {
-        debug_assert_ne!(v, E::EMPTY);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return self.try_insert_net_wide(v, key_mask, del0);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
-        self.try_insert_net_scalar(v, del0)
-    }
-
-    /// Scalar insert loop: `DetHashTable::try_insert_repr` plus the
+    /// Scalar insert loop (the caller is registered on `ins_state`;
+    /// returns the net number of cells this call filled, 0 or 1 at
+    /// quiescence): `DetHashTable`'s scalar insert plus the
     /// post-placement validation hook after every successful CAS.
-    fn try_insert_net_scalar(&self, mut v: u64, del0: u64) -> Result<i64, u64> {
+    fn try_insert_net_scalar(&self, mut v: u64, del0: u64, relocating: bool) -> Result<i64, u64> {
         let mut i = self.slot(E::hash(v));
         let mut steps = 0usize;
         let mut swaps = 0usize;
@@ -292,6 +249,9 @@ impl<E: HashEntry> FcHashTable<E> {
                 break Err(v);
             }
             if E::same_key(c, v) {
+                if (relocating || swaps > 0) && !self.may_merge(i, c, v) {
+                    continue; // re-read
+                }
                 let merged = E::combine(c, v);
                 if merged == c {
                     break Ok(net);
@@ -343,58 +303,17 @@ impl<E: HashEntry> FcHashTable<E> {
     /// Wide insert: `scan_le` skips outranking cells (sound because
     /// cell priorities only rise under inserts, and a concurrent
     /// delete lowering a cell is exactly what validation repairs), then
-    /// the candidate is confirmed by the exact per-cell CAS loop.
-    ///
-    /// The tier is resolved once here and a concrete kernel bound
-    /// inside a `#[target_feature]` body (the `det.rs` pattern), so
-    /// the probe loop pays no per-window dispatch.
-    fn try_insert_net_wide(&self, v: u64, key_mask: u64, del0: u64) -> Result<i64, u64> {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                // SAFETY: `tier()` reports Avx2 only when the CPU
-                // supports it.
-                crate::simd::SimdTier::Avx2 => unsafe {
-                    self.try_insert_wide_avx2(v, key_mask, del0)
-                },
-                _ => self.try_insert_wide_sse2(v, key_mask, del0),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.try_insert_net_wide_with(v, key_mask, del0, &|cells, start, end, thr| {
-                crate::simd::scan_le(cells, start, end, key_mask, thr)
-            })
-        }
-    }
-
-    /// AVX2 instantiation of the wide insert: the kernel closure
-    /// inlines into the probe loop.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn try_insert_wide_avx2(&self, v: u64, key_mask: u64, del0: u64) -> Result<i64, u64> {
-        self.try_insert_net_wide_with(v, key_mask, del0, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation (baseline on x86_64; no feature gate needed).
-    #[cfg(target_arch = "x86_64")]
-    fn try_insert_wide_sse2(&self, v: u64, key_mask: u64, del0: u64) -> Result<i64, u64> {
-        self.try_insert_net_wide_with(v, key_mask, del0, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The wide insert body, generic over the bound scan kernel.
+    /// the candidate is confirmed by the exact per-cell CAS loop. The
+    /// body is written once over the kernel `k`, bound per operation
+    /// or batch by [`crate::simd::dispatch`].
     #[inline(always)]
-    fn try_insert_net_wide_with(
+    fn try_insert_net_wide_with<K: Kernel>(
         &self,
         mut v: u64,
         key_mask: u64,
         del0: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
+        relocating: bool,
+        k: K,
     ) -> Result<i64, u64> {
         let n = self.cells.len();
         let mut i = self.slot(E::hash(v));
@@ -408,14 +327,7 @@ impl<E: HashEntry> FcHashTable<E> {
             let (j, mut c) = if peek & key_mask <= thr {
                 (i, peek)
             } else {
-                let (hit, lanes) = scan(&self.cells, i, n, thr);
-                let (hit, lanes) = match hit {
-                    Some(_) => (hit, lanes),
-                    None => {
-                        let (wrapped, more) = scan(&self.cells, 0, i, thr);
-                        (wrapped, lanes + more)
-                    }
-                };
+                let (hit, lanes) = k.scan_le_wrapping(&self.cells, i, key_mask, thr);
                 phc_obs::probe!(count SimdLanesScanned, lanes);
                 match hit {
                     Some(h) => h,
@@ -439,6 +351,10 @@ impl<E: HashEntry> FcHashTable<E> {
                     break 'outer Err(v);
                 }
                 if E::same_key(c, v) {
+                    if (relocating || swaps > 0) && !self.may_merge(i, c, v) {
+                        c = self.cells[i].load(Ordering::Acquire);
+                        continue;
+                    }
                     let merged = E::combine(c, v);
                     if merged == c {
                         break 'outer Ok(net);
@@ -497,7 +413,7 @@ impl<E: HashEntry> FcHashTable<E> {
     /// Post-placement hook: validate iff a delete overlapped. Returns
     /// the net fill-count delta of any repair. The quiescent side of
     /// the branch must stay a bare load-and-compare: the repair callee
-    /// reaches back into `try_insert_net`, and letting that call graph
+    /// reaches back into the insert loops, and letting that call graph
     /// into the hot probe loop costs ~15% insert throughput in register
     /// spills alone (hence `#[cold]` + `#[inline(never)]` below).
     #[inline(always)]
@@ -524,11 +440,16 @@ impl<E: HashEntry> FcHashTable<E> {
         while i != j {
             let c = self.cells[i].load(Ordering::Acquire);
             if c == E::EMPTY || E::same_key(c, x) || E::cmp_priority(c, x) == CmpOrdering::Less {
+                if self.await_chase(x) {
+                    // The chase may have settled the copies; re-scan.
+                    i = home;
+                    continue;
+                }
                 let m = self.cells.len();
                 let kv = m + j;
                 if self.delete_from::<false>(kv, kv - self.dist(home, j), x, 0) {
                     let del0 = self.del_state.load(Ordering::SeqCst);
-                    return match self.try_insert_net(x, del0) {
+                    return match crate::simd::dispatch(self, Relocate(x, del0)) {
                         Ok(n) => n - 1,
                         Err(_) => panic!("FcHashTable: table full during repair"),
                     };
@@ -543,116 +464,13 @@ impl<E: HashEntry> FcHashTable<E> {
     /// Inserts a batch of entries with software prefetching (see
     /// [`crate::batch`]), under a single overlap-registration bracket.
     pub fn insert_batch(&self, entries: &[E]) {
-        let n = entries.len();
-        if n == 0 {
-            return;
-        }
-        self.ins_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        let del0 = self.del_state.load(Ordering::SeqCst);
-        let full = self.insert_batch_registered(entries, del0);
-        self.ins_state.fetch_sub(1, Ordering::SeqCst);
-        if full {
-            panic!(
-                "FcHashTable::insert: table is full (capacity {})",
-                self.cells.len()
-            );
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-    }
-
-    /// Batch body run under the caller's registration bracket. Returns
-    /// `true` if the table filled up mid-batch. Batch-level tier
-    /// dispatch, as in `DetHashTable::insert_batch`: resolve the tier
-    /// once per batch, bind the matching kernel, and run the whole
-    /// prefetching insert loop inside one `#[target_feature]` body.
-    fn insert_batch_registered(&self, entries: &[E], del0: u64) -> bool {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        #[cfg(target_arch = "x86_64")]
-        if let Some(key_mask) = E::SIMD_KEY_MASK {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    // SAFETY: `tier()` reports Avx2 only when the CPU
-                    // supports it.
-                    return unsafe { self.insert_batch_avx2(entries, key_mask, del0) };
-                }
-                crate::simd::SimdTier::Sse2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    return self.insert_batch_sse2(entries, key_mask, del0);
-                }
-                crate::simd::SimdTier::Scalar => {}
-            }
-        }
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(E::hash(e.to_repr())));
-        }
-        for i in 0..entries.len() {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            if self.try_insert_net(entries[i].to_repr(), del0).is_err() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// AVX2 instantiation of the batched wide insert.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn insert_batch_avx2(&self, entries: &[E], key_mask: u64, del0: u64) -> bool {
-        self.insert_batch_wide_body(entries, key_mask, del0, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation of the batched wide insert.
-    #[cfg(target_arch = "x86_64")]
-    fn insert_batch_sse2(&self, entries: &[E], key_mask: u64, del0: u64) -> bool {
-        self.insert_batch_wide_body(entries, key_mask, del0, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The prefetching insert loop shared by the per-tier batch entry
-    /// points (gated lookahead — see `det.rs`).
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn insert_batch_wide_body(
-        &self,
-        entries: &[E],
-        key_mask: u64,
-        del0: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> bool {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(E::hash(e.to_repr())));
-        }
-        for i in 0..entries.len() {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            if self
-                .try_insert_net_wide_with(entries[i].to_repr(), key_mask, del0, scan)
-                .is_err()
-            {
-                return true;
-            }
-        }
-        false
+        crate::batch::insert_batch(self, entries)
     }
 
     /// Parallel batched insert: grain-sized chunks through
     /// [`insert_batch`](Self::insert_batch).
     pub fn par_insert_batched(&self, entries: &[E]) {
-        use rayon::prelude::*;
-        entries
-            .par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.insert_batch(chunk));
+        crate::batch::par_chunked(entries, |c| self.insert_batch(c))
     }
 
     // ------------------------------------------------------------------
@@ -664,19 +482,20 @@ impl<E: HashEntry> FcHashTable<E> {
     /// displacement of its key may miss (it retries a bounded number of
     /// times when writers are active).
     pub fn find(&self, key: E) -> Option<E> {
-        self.find_repr(key.to_repr()).map(E::from_repr)
+        FlatTableCore::find(self, key)
     }
 
-    /// Bounded-retry find wrapper: quiescent misses return after two
-    /// extra shared loads; misses that raced an active writer retry up
-    /// to [`FIND_RETRIES`] times (counted as `FcHelps`).
-    pub(crate) fn find_repr(&self, probe: u64) -> Option<u64> {
-        debug_assert_ne!(probe, E::EMPTY);
+    /// Bounded retries around one probe attempt `once` (the tier is
+    /// bound once, outside): quiescent misses return after two extra
+    /// shared loads; misses that raced an active writer retry up to
+    /// [`FIND_RETRIES`] times (counted as `FcHelps`).
+    #[inline(always)]
+    fn find_retrying(&self, once: impl Fn() -> Option<u64>) -> Option<u64> {
         let mut retries = 0usize;
         loop {
             let ins0 = self.ins_state.load(Ordering::SeqCst);
             let del0 = self.del_state.load(Ordering::SeqCst);
-            let r = self.find_repr_once(probe);
+            let r = once();
             if r.is_some() {
                 return r;
             }
@@ -687,16 +506,6 @@ impl<E: HashEntry> FcHashTable<E> {
             retries += 1;
             phc_obs::probe!(count FcHelps);
         }
-    }
-
-    fn find_repr_once(&self, probe: u64) -> Option<u64> {
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return self.find_once_wide(probe, key_mask);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
-        self.find_once_scalar(probe)
     }
 
     /// Scalar probe — already per-cell atomic reads, so fc-safe as-is.
@@ -736,60 +545,15 @@ impl<E: HashEntry> FcHashTable<E> {
     /// a confirmation that reads a now-higher-priority cell resumes
     /// scanning past it. This is the fc twist on the quiescent-phase
     /// wide find, which uses the scanned window value directly.
-    ///
-    /// Per-op tier dispatch binding a concrete kernel, as in `det.rs`;
-    /// the batch path binds once per batch instead.
-    fn find_once_wide(&self, probe: u64, key_mask: u64) -> Option<u64> {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                // SAFETY: `tier()` reports Avx2 only when the CPU
-                // supports it.
-                crate::simd::SimdTier::Avx2 => unsafe { self.find_once_avx2(probe, key_mask) },
-                _ => self.find_once_sse2(probe, key_mask),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.find_once_wide_with(probe, key_mask, &|cells, start, end, thr| {
-                crate::simd::scan_le(cells, start, end, key_mask, thr)
-            })
-        }
-    }
-
-    /// AVX2 instantiation of the single-key wide find.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_once_avx2(&self, probe: u64, key_mask: u64) -> Option<u64> {
-        self.find_once_wide_with(probe, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation of the single-key wide find.
-    #[cfg(target_arch = "x86_64")]
-    fn find_once_sse2(&self, probe: u64, key_mask: u64) -> Option<u64> {
-        self.find_once_wide_with(probe, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The wide find body, generic over the bound scan kernel.
     #[inline(always)]
-    fn find_once_wide_with(
-        &self,
-        probe: u64,
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Option<u64> {
+    fn find_once_wide_with<K: Kernel>(&self, probe: u64, key_mask: u64, k: K) -> Option<u64> {
         let n = self.cells.len();
         let home = self.slot(E::hash(probe));
         let thr = probe & key_mask;
         let mut seg = 0usize;
         let (mut s, mut e) = (home, n);
         loop {
-            let (hit, lanes) = scan(&self.cells, s, e, thr);
+            let (hit, lanes) = k.scan_le(&self.cells, s, e, key_mask, thr);
             phc_obs::probe!(count SimdLanesScanned, lanes);
             if let Some((j, _scanned)) = hit {
                 let c = self.cells[j].load(Ordering::Acquire);
@@ -823,74 +587,14 @@ impl<E: HashEntry> FcHashTable<E> {
         }
     }
 
-    /// Batched prefetching lookup, results in key order. Batch-level
-    /// tier dispatch, as in `DetHashTable::find_batch`: the scan kernel
-    /// is bound once and inlines into the whole prefetching loop.
+    /// Batched prefetching lookup, results in key order. Speculates
+    /// the quiescent det-style loop first and falls back to the careful
+    /// per-cell-confirming, bounded-retry batch loop when a writer was
+    /// registered or opened a window mid-batch.
     pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return out;
-        }
-        #[cfg(target_arch = "x86_64")]
-        if let Some(key_mask) = E::SIMD_KEY_MASK {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    // SAFETY: `tier()` reports Avx2 only when the CPU
-                    // supports it.
-                    unsafe { self.find_batch_avx2(keys, key_mask, &mut out) };
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return out;
-                }
-                crate::simd::SimdTier::Sse2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    self.find_batch_sse2(keys, key_mask, &mut out);
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return out;
-                }
-                crate::simd::SimdTier::Scalar => {}
-            }
-        }
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            out.push(self.find_repr(keys[i].to_repr()).map(E::from_repr));
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-        out
-    }
-
-    /// AVX2 instantiation of the batched wide find.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_batch_avx2(&self, keys: &[E], key_mask: u64, out: &mut Vec<Option<E>>) {
-        if !self.find_batch_speculate(keys, out, |keys, out| unsafe {
-            self.find_spec_loop_avx2(keys, key_mask, out)
-        }) {
-            self.find_batch_careful_with(keys, key_mask, out, &|cells, start, end, thr| unsafe {
-                crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-            });
-        }
-    }
-
-    /// SSE2 instantiation of the batched wide find.
-    #[cfg(target_arch = "x86_64")]
-    fn find_batch_sse2(&self, keys: &[E], key_mask: u64, out: &mut Vec<Option<E>>) {
-        if !self.find_batch_speculate(keys, out, |keys, out| {
-            self.find_spec_loop_sse2(keys, key_mask, out)
-        }) {
-            self.find_batch_careful_with(keys, key_mask, out, &|cells, start, end, thr| unsafe {
-                crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-            });
+        match self.find_batch_speculate(keys) {
+            Some(out) => out,
+            None => crate::batch::find_batch(self, keys),
         }
     }
 
@@ -903,29 +607,26 @@ impl<E: HashEntry> FcHashTable<E> {
     /// `active > 0`) or bumped an epoch afterwards (seen by the
     /// re-load), so unchanged words prove the reads were effectively
     /// quiescent — torn SIMD windows need a concurrent write. On
-    /// validation failure the speculative results are discarded and the
-    /// caller must redo the batch through the careful confirming
-    /// wrapper (`false` is also returned when a writer was already
-    /// registered and no speculation was attempted).
+    /// validation failure the speculative results are discarded and
+    /// `None` tells the caller to redo the batch through the careful
+    /// confirming loop (`None` is also returned when a writer was
+    /// already registered, or at the scalar tier, where no speculation
+    /// is attempted).
     ///
-    /// The scan loop itself is behind `run_loop` — an `#[inline(never)]`
-    /// per-tier function — so the state snapshots living across it
-    /// cannot bloat the loop's register allocation.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn find_batch_speculate(
-        &self,
-        keys: &[E],
-        out: &mut Vec<Option<E>>,
-        run_loop: impl Fn(&[E], &mut Vec<Option<E>>),
-    ) -> bool {
+    /// The scan loop itself runs behind [`crate::simd::dispatch`]: at
+    /// the AVX2 tier it is its own function (the trampoline), so the
+    /// state snapshots living across it cannot bloat the loop's
+    /// register allocation.
+    fn find_batch_speculate(&self, keys: &[E]) -> Option<Vec<Option<E>>> {
         let ins0 = self.ins_state.load(Ordering::SeqCst);
         let del0 = self.del_state.load(Ordering::SeqCst);
-        if ins0 & ACTIVE_MASK != 0 || del0 & ACTIVE_MASK != 0 {
-            return false;
+        if keys.is_empty() || ins0 & ACTIVE_MASK != 0 || del0 & ACTIVE_MASK != 0 {
+            return None;
         }
-        let start = out.len();
-        run_loop(keys, out);
+        let mut out = Vec::with_capacity(keys.len());
+        if !crate::simd::dispatch(self, SpecFind(keys, &mut out)) {
+            return None;
+        }
         // Order the cell scans before the validation loads: the
         // re-loads below must observe any registration whose write
         // could have raced the scans.
@@ -933,50 +634,23 @@ impl<E: HashEntry> FcHashTable<E> {
         if self.ins_state.load(Ordering::SeqCst) == ins0
             && self.del_state.load(Ordering::SeqCst) == del0
         {
-            return true;
+            phc_obs::probe!(count PrefetchBatches);
+            phc_obs::probe!(hist BatchSize, keys.len());
+            return Some(out);
         }
         // A writer window opened mid-batch; the speculative reads
         // may have seen torn or mid-repair windows.
-        out.truncate(start);
         phc_obs::probe!(count FcHelps);
-        false
-    }
-
-    /// AVX2 instantiation of the speculative scan loop. `#[inline(never)]`
-    /// so it compiles standalone: nothing but the loop lives in the
-    /// function, giving the register allocator the same free hand it
-    /// has in `DetHashTable`'s batch body.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[inline(never)]
-    unsafe fn find_spec_loop_avx2(&self, keys: &[E], key_mask: u64, out: &mut Vec<Option<E>>) {
-        self.find_spec_loop_body(keys, key_mask, out, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// SSE2 instantiation of the speculative scan loop.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(never)]
-    fn find_spec_loop_sse2(&self, keys: &[E], key_mask: u64, out: &mut Vec<Option<E>>) {
-        self.find_spec_loop_body(keys, key_mask, out, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        });
+        None
     }
 
     /// The prefetching speculative scan loop: only sound between the
     /// snapshot and validation loads of
     /// [`find_batch_speculate`](Self::find_batch_speculate).
-    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    fn find_spec_loop_body(
-        &self,
-        keys: &[E],
-        key_mask: u64,
-        out: &mut Vec<Option<E>>,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) {
+    fn find_spec_loop_body<K: Kernel>(&self, keys: &[E], out: &mut Vec<Option<E>>, k: K) {
         use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
+        let key_mask = crate::batch::wide_key_mask::<E>();
         // Hoist the cell slice and mask into locals: with `self` live
         // across the loop LLVM re-loads both fields every iteration
         // (it will not CSE plain loads across the kernel's atomic
@@ -984,45 +658,15 @@ impl<E: HashEntry> FcHashTable<E> {
         // loop exists to avoid.
         let cells: &[AtomOf<E::Repr>] = &self.cells;
         let mask = self.mask;
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(cells, (E::hash(k.to_repr()) as usize) & mask);
+        for key in keys.iter().take(PREFETCH_AHEAD) {
+            prefetch_slot(cells, (E::hash(key.to_repr()) as usize) & mask);
         }
         for i in 0..keys.len() {
             if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
                 prefetch_slot(cells, (E::hash(next.to_repr()) as usize) & mask);
             }
             out.push(
-                Self::find_quiescent_in(cells, mask, keys[i].to_repr(), key_mask, scan)
-                    .map(E::from_repr),
-            );
-        }
-    }
-
-    /// The careful (per-cell confirming, bounded-retry) batch lookup
-    /// loop — the fallback when a writer is registered or opened a
-    /// window mid-batch. `#[cold]`/`#[inline(never)]` keeps this second
-    /// loop out of the speculative fast path's function body, whose
-    /// register allocation and layout it would otherwise double.
-    #[cfg(target_arch = "x86_64")]
-    #[cold]
-    #[inline(never)]
-    fn find_batch_careful_with(
-        &self,
-        keys: &[E],
-        key_mask: u64,
-        out: &mut Vec<Option<E>>,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..keys.len() {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            out.push(
-                self.find_repr_retry_with(keys[i].to_repr(), key_mask, scan)
+                Self::find_quiescent_in(cells, mask, keys[i].to_repr(), key_mask, k)
                     .map(E::from_repr),
             );
         }
@@ -1034,26 +678,17 @@ impl<E: HashEntry> FcHashTable<E> {
     /// [`find_batch_speculate`](Self::find_batch_speculate).
     /// Takes the cell slice and mask as plain arguments (not `&self`)
     /// so the caller's loop can keep both in registers.
-    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    fn find_quiescent_in(
+    fn find_quiescent_in<K: Kernel>(
         cells: &[AtomOf<E::Repr>],
         mask: usize,
         probe: u64,
         key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
+        k: K,
     ) -> Option<u64> {
-        let n = cells.len();
         let home = (E::hash(probe) as usize) & mask;
         let thr = probe & key_mask;
-        let (hit, lanes) = scan(cells, home, n, thr);
-        let (hit, lanes) = match hit {
-            Some(_) => (hit, lanes),
-            None => {
-                let (wrapped, more) = scan(cells, 0, home, thr);
-                (wrapped, lanes + more)
-            }
-        };
+        let (hit, lanes) = k.scan_le_wrapping(cells, home, key_mask, thr);
         phc_obs::probe!(count SimdLanesScanned, lanes);
         match hit {
             Some((_, c)) if E::same_key(c, probe) => Some(c),
@@ -1061,40 +696,9 @@ impl<E: HashEntry> FcHashTable<E> {
         }
     }
 
-    /// The bounded-retry wrapper of [`find_repr`](Self::find_repr),
-    /// generic over the bound scan kernel (batch paths only).
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn find_repr_retry_with(
-        &self,
-        probe: u64,
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Option<u64> {
-        debug_assert_ne!(probe, E::EMPTY);
-        let mut retries = 0usize;
-        loop {
-            let ins0 = self.ins_state.load(Ordering::SeqCst);
-            let del0 = self.del_state.load(Ordering::SeqCst);
-            let r = self.find_once_wide_with(probe, key_mask, scan);
-            if r.is_some() {
-                return r;
-            }
-            let racy = self.ins_overlapped(ins0) || self.del_overlapped(del0);
-            if !racy || retries >= FIND_RETRIES {
-                return None;
-            }
-            retries += 1;
-            phc_obs::probe!(count FcHelps);
-        }
-    }
-
     /// Parallel batched lookup, results in key order.
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .flat_map_iter(|chunk| self.find_batch(chunk))
-            .collect()
+        crate::batch::par_chunked_map(keys, |c| self.find_batch(c))
     }
 
     // ------------------------------------------------------------------
@@ -1111,11 +715,7 @@ impl<E: HashEntry> FcHashTable<E> {
     /// performed the final `⊥` store that shrank the table (the global
     /// removed-element credit, mirroring `DetHashTable`).
     pub fn delete_counted(&self, key: E) -> bool {
-        self.del_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        let ins0 = self.ins_state.load(Ordering::SeqCst);
-        let r = self.delete_repr(key.to_repr(), ins0);
-        self.del_state.fetch_sub(1, Ordering::SeqCst);
-        r
+        FlatTableCore::delete_counted(self, key)
     }
 
     /// Core delete; caller must be registered on `del_state`.
@@ -1187,6 +787,15 @@ impl<E: HashEntry> FcHashTable<E> {
         mut v: u64,
         ins0: u64,
     ) -> bool {
+        let mut chase = Chase {
+            t: self,
+            slot: None,
+        };
+        // The span of lowered cells to revalidate once the chase has
+        // ended (a repair may wait out other chases, so it must not run
+        // while this one is announced). Revalidating a cell that was
+        // not lowered is a harmless extra scan.
+        let mut lowered: Option<(usize, usize)> = None;
         let mut steps = 0usize;
         let result = loop {
             if k < i {
@@ -1199,34 +808,41 @@ impl<E: HashEntry> FcHashTable<E> {
                 continue;
             }
             let (j, vprime) = self.find_replacement(k);
-            if self.cas_at(k, c, vprime) {
-                if vprime != E::EMPTY {
-                    if CHECKED && self.ins_overlapped(ins0) {
-                        self.revalidate_lowered(k);
-                    }
-                    // Chase the second copy of `vprime` now at `k`.
-                    v = vprime;
-                    k = j;
-                    i = self.lift_hash(vprime, j);
-                } else {
-                    if CHECKED && self.ins_overlapped(ins0) {
-                        if let Some((j2, v2)) = self.recheck_hole(k) {
-                            v = v2;
-                            k = j2;
-                            i = self.lift_hash(v2, j2);
-                            continue;
-                        }
-                    }
-                    break true;
-                }
-            } else {
+            chase.announce_next(vprime);
+            if !self.cas_at(k, c, vprime) {
                 // Cell changed under us: the copy either moved down
                 // (concurrent delete) — step back and keep looking — or
                 // was displaced up by an insert, whose carrier now owns
                 // its placement (and validates it).
+                chase.withdraw();
                 k -= 1;
+                continue;
             }
+            let refill = if vprime != E::EMPTY {
+                if CHECKED && self.ins_overlapped(ins0) {
+                    lowered = Some(lowered.map_or((k, k), |(lo, hi)| (lo.min(k), hi.max(k))));
+                }
+                Some((j, vprime))
+            } else if CHECKED && self.ins_overlapped(ins0) {
+                self.recheck_hole(k, &mut chase)
+            } else {
+                None
+            };
+            let Some((j, vprime)) = refill else {
+                break true;
+            };
+            // Chase the second copy of `vprime` now at `k`.
+            chase.promote(vprime);
+            v = vprime;
+            k = j;
+            i = self.lift_home(vprime, j);
         };
+        chase.release();
+        if let Some((lo, hi)) = lowered {
+            for k in lo..=hi {
+                self.revalidate_lowered(k);
+            }
+        }
         phc_obs::probe!(count DeleteProbeSteps, steps);
         result
     }
@@ -1234,19 +850,25 @@ impl<E: HashEntry> FcHashTable<E> {
     /// After the final `⊥` store, when an insert overlapped the delete:
     /// an entry placed concurrently above the new hole may now legally
     /// back-shift into it. Re-run `FINDREPLACEMENT` and, if a candidate
-    /// appears and the hole is still `⊥`, refill it and hand the
-    /// duplicate back to the caller to chase. `#[cold]` for the same
-    /// register-pressure reason as [`revalidate_lowered`].
+    /// appears and the hole is still `⊥`, refill it (announced like any
+    /// copy-down) and hand the duplicate back to the caller to chase.
+    /// `#[cold]` for the same register-pressure reason as
+    /// [`revalidate_lowered`].
     ///
     /// [`revalidate_lowered`]: Self::revalidate_lowered
     #[cold]
     #[inline(never)]
-    fn recheck_hole(&self, k: usize) -> Option<(usize, u64)> {
+    fn recheck_hole(&self, k: usize, chase: &mut Chase<'_, E>) -> Option<(usize, u64)> {
         phc_obs::probe!(count FcRepairScans);
         let (j2, v2) = self.find_replacement(k);
-        if v2 != E::EMPTY && self.cas_at(k, E::EMPTY, v2) {
+        if v2 == E::EMPTY {
+            return None;
+        }
+        chase.announce_next(v2);
+        if self.cas_at(k, E::EMPTY, v2) {
             Some((j2, v2))
         } else {
+            chase.withdraw();
             None
         }
     }
@@ -1258,13 +880,14 @@ impl<E: HashEntry> FcHashTable<E> {
     /// invariant. Repair by pulling `y` out and re-inserting it.
     /// `#[cold]`: reachable from the hot copy-down loop but taken only
     /// when an insert overlapped; keeping the repair call graph (which
-    /// reaches back into `try_insert_net`) out of line keeps the loop's
+    /// reaches back into the insert loops) out of line keeps the loop's
     /// registers clean — see [`after_place`](Self::after_place).
     #[cold]
     #[inline(never)]
     fn revalidate_lowered(&self, k: usize) {
         phc_obs::probe!(count FcRepairScans);
-        for q in (k + 1)..(k + 1 + self.cells.len()) {
+        let mut q = k + 1;
+        while q < k + 1 + self.cells.len() {
             let y = self.load_at(q);
             if y == E::EMPTY {
                 return;
@@ -1274,84 +897,96 @@ impl<E: HashEntry> FcHashTable<E> {
                 // `k` was re-deleted; that delete revalidates it.
                 return;
             }
-            if self.lift_hash(y, q) <= k && E::cmp_priority(y, ck) == CmpOrdering::Greater {
-                if self.delete_from::<false>(q, self.lift_hash(y, q), y, 0) {
-                    let del0 = self.del_state.load(Ordering::SeqCst);
-                    if self.try_insert_net(y, del0).is_err() {
-                        panic!("FcHashTable: table full during repair");
-                    }
+            if self.lift_home(y, q) <= k && E::cmp_priority(y, ck) == CmpOrdering::Greater {
+                if self.await_chase(y) {
+                    // A surplus copy of `y` is owned by a chase; let it
+                    // settle, then re-scan.
+                    q = k + 1;
+                    continue;
                 }
+                // The relocation registers as an insert: a delete of `y`
+                // that misses it while it is out of the table sees the
+                // overlap and re-walks (see `delete_repr`).
+                let del0 = self.open_insert();
+                if self.delete_from::<false>(q, self.lift_home(y, q), y, 0)
+                    && crate::simd::dispatch(self, Relocate(y, del0)).is_err()
+                {
+                    panic!("FcHashTable: table full during repair");
+                }
+                self.close_insert(del0);
                 return;
             }
+            q += 1;
         }
     }
 
-    /// Figure 1 `FINDREPLACEMENT(i)` — identical to det.rs: wide-window
-    /// loads with a per-lane predicate, then the mandatory downward
-    /// re-scan for the lowest legal candidate.
-    fn find_replacement(&self, i: usize) -> (usize, u64) {
-        let n = self.cells.len();
-        let mut buf = [0u64; crate::simd::MAX_WINDOW];
-        let mut next = i + 1;
-        let (mut j, mut v) = 'up: loop {
-            let real = next & self.mask;
-            let k = crate::simd::load_window(
-                &self.cells,
-                real,
-                n.min(real + crate::simd::MAX_WINDOW),
-                &mut buf,
-            );
-            phc_obs::probe!(count SimdLanesScanned, k);
-            for (lane, &val) in buf[..k].iter().enumerate() {
-                let jj = next + lane;
-                if val == E::EMPTY || self.lift_hash(val, jj) <= i {
-                    break 'up (jj, val);
-                }
-            }
-            next += k;
+    /// Whether a carried (displaced or relocated) copy of `v` may merge
+    /// into the copy `c` observed at cell `i`: only once no chase owns
+    /// a surplus copy of the key, and only if `c` — possibly a stale
+    /// wide-scan lane — is still there afterwards. `false` sends the
+    /// caller back to re-read the cell.
+    #[cold]
+    #[inline(never)]
+    fn may_merge(&self, i: usize, c: u64, v: u64) -> bool {
+        !self.await_chase(v) && self.cells[i].load(Ordering::Acquire) == c
+    }
+
+    /// Whether a chase currently owns a surplus copy of `x`'s key (or
+    /// is about to create one).
+    ///
+    /// Ordering: a lane store is `Release` and precedes (in program
+    /// order) the copy-down CAS that creates the surplus copy, so any
+    /// caller that has read that copy also sees the announcement.
+    /// Within a pair the "next" lane is read before the "owed" lane:
+    /// `promote` writes the owed lane before clearing the next one, so
+    /// a key moving between them is seen in at least one.
+    fn chase_pending(&self, x: u64) -> bool {
+        let owns = |lane: &AtomicU64| {
+            let a = lane.load(Ordering::Acquire);
+            a != E::EMPTY && E::same_key(a, x)
         };
-        let mut k = j - 1;
-        while k > i {
-            let vp = self.load_at(k);
-            if vp == E::EMPTY || self.lift_hash(vp, k) <= i {
-                v = vp;
-                j = k;
+        self.chase_claims.load(Ordering::Acquire) != 0
+            && self
+                .chases
+                .chunks_exact(2)
+                .any(|pair| owns(&pair[1]) || owns(&pair[0]))
+    }
+
+    /// Waits until no chase announces `x`'s key; returns whether it had
+    /// to wait (the caller then re-reads what it was about to act on).
+    fn await_chase(&self, x: u64) -> bool {
+        let mut spins = 0u32;
+        while self.chase_pending(x) {
+            spins += 1;
+            if spins < 64 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
             }
-            k -= 1;
         }
-        (j, v)
+        if spins > 0 {
+            phc_obs::probe!(count FcHelps);
+        }
+        spins > 0
+    }
+
+    /// Figure 1 `FINDREPLACEMENT(i)` — shared with det and Robin Hood:
+    /// wide-window loads with a per-lane predicate, then the mandatory
+    /// downward re-scan for the lowest legal candidate.
+    fn find_replacement(&self, i: usize) -> (usize, u64) {
+        crate::batch::find_replacement(self, i)
     }
 
     /// Deletes a batch of keys with software prefetching, under a
     /// single overlap-registration bracket.
     pub fn delete_batch(&self, keys: &[E]) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        if n == 0 {
-            return;
-        }
-        self.del_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        let ins0 = self.ins_state.load(Ordering::SeqCst);
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            self.delete_repr(keys[i].to_repr(), ins0);
-        }
-        self.del_state.fetch_sub(1, Ordering::SeqCst);
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
+        crate::batch::delete_batch(self, keys)
     }
 
     /// Parallel batched delete: grain-sized chunks through
     /// [`delete_batch`](Self::delete_batch).
     pub fn par_delete_batched(&self, keys: &[E]) {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.delete_batch(chunk));
+        crate::batch::par_chunked(keys, |c| self.delete_batch(c))
     }
 
     // ------------------------------------------------------------------
@@ -1361,13 +996,7 @@ impl<E: HashEntry> FcHashTable<E> {
     /// Packs the non-empty cells into a vector in cell order via the
     /// parallel mask-based prefix sum. Deterministic at quiescence.
     pub fn elements(&self) -> Vec<E> {
-        let packed = phc_parutil::pack_with_mask(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(c.load(Ordering::Acquire)),
-        );
-        phc_obs::probe!(hist PackSize, packed.len());
-        packed
+        crate::batch::elements(self)
     }
 
     /// Like [`elements`](Self::elements), packing into a caller-owned
@@ -1375,33 +1004,15 @@ impl<E: HashEntry> FcHashTable<E> {
     /// readers reuse one allocation across calls. Deterministic at
     /// quiescence.
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        let base = out.len();
-        phc_parutil::pack_with_mask_into(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(c.load(Ordering::Acquire)),
-            out,
-        );
-        phc_obs::probe!(hist PackSize, out.len() - base);
+        crate::batch::elements_into(self, out)
     }
 
     /// Applies `f` to every entry in the cell range, sequentially in
     /// cell order — the migration primitive of
     /// [`crate::resize::ResizableTable`]. The caller must guarantee the
     /// range is quiescent.
-    pub fn for_each_in_range(&self, range: std::ops::Range<usize>, mut f: impl FnMut(E)) {
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        let mut base = start;
-        for win in self.cells[start..end].chunks(64) {
-            let mut bits = crate::simd::scan_nonempty_mask(win, E::EMPTY);
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(E::from_repr(self.cells[base + j].load(Ordering::Acquire)));
-            }
-            base += win.len();
-        }
+    pub fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
+        crate::batch::for_each_in_range(self, range, f)
     }
 
     /// Claims every cell in `range` (clamped) for migration: swaps
@@ -1413,15 +1024,7 @@ impl<E: HashEntry> FcHashTable<E> {
     /// writer protocol (displacement carry, repair scan) is in flight
     /// over the swept cells.
     pub fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        for cell in &self.cells[start..end] {
-            let prev = cell.swap(E::FORWARD, Ordering::AcqRel);
-            debug_assert_ne!(prev, E::FORWARD, "migration block claimed twice");
-            if prev != E::EMPTY {
-                out.push(prev);
-            }
-        }
+        crate::batch::claim_range_forward(self, range, out)
     }
 
     /// Spins until no insert or delete is registered on this table.
@@ -1453,13 +1056,7 @@ impl<E: HashEntry> FcHashTable<E> {
     /// Applies `f` to every stored entry in parallel, unspecified
     /// order.
     pub fn for_each_entry(&self, f: impl Fn(E) + Send + Sync) {
-        use rayon::prelude::*;
-        self.cells.par_iter().with_min_len(4096).for_each(|c| {
-            let v = c.load(Ordering::Acquire);
-            if v != E::EMPTY {
-                f(E::from_repr(v));
-            }
-        });
+        crate::batch::for_each_entry(self, f)
     }
 
     /// Number of occupied cells (exact at quiescence).
@@ -1474,17 +1071,171 @@ impl<E: HashEntry> FcHashTable<E> {
 
     /// Removes every entry (parallel; requires `&mut`, hence quiescent).
     pub fn clear(&mut self) {
-        use rayon::prelude::*;
-        self.cells
-            .par_iter()
-            .with_min_len(4096)
-            .for_each(|c| c.store(E::EMPTY, Ordering::Relaxed));
+        crate::batch::clear(&self.cells, E::EMPTY)
+    }
+}
+
+/// One chaser's announcement lanes in [`FcHashTable::chases`]: lane
+/// `2s` holds the key whose surplus copy the chase owes a removal for,
+/// lane `2s + 1` the key it is about to copy down. A slot is claimed at
+/// the first copy-down and released when the chase ends.
+struct Chase<'t, E: HashEntry> {
+    t: &'t FcHashTable<E>,
+    slot: Option<usize>,
+}
+
+impl<E: HashEntry> Chase<'_, E> {
+    /// Announces `v` before the copy-down that duplicates it.
+    fn announce_next(&mut self, v: u64) {
+        if v == E::EMPTY {
+            return;
+        }
+        let s = *self.slot.get_or_insert_with(|| self.t.claim_chase_slot());
+        self.t.chases[2 * s + 1].store(v, Ordering::Release);
     }
 
-    /// Prefetches `v`'s home-slot cache line (see [`crate::batch`]).
+    /// The copy-down of `v` landed: `v` is now the owed removal.
+    fn promote(&mut self, v: u64) {
+        if let Some(s) = self.slot {
+            self.t.chases[2 * s].store(v, Ordering::Release);
+            self.t.chases[2 * s + 1].store(E::EMPTY, Ordering::Release);
+        }
+    }
+
+    /// The announced copy-down did not happen.
+    fn withdraw(&mut self) {
+        if let Some(s) = self.slot {
+            self.t.chases[2 * s + 1].store(E::EMPTY, Ordering::Release);
+        }
+    }
+
+    /// The chase is over: clear both lanes and free the slot.
+    fn release(self) {
+        if let Some(s) = self.slot {
+            self.t.chases[2 * s].store(E::EMPTY, Ordering::Release);
+            self.t.chases[2 * s + 1].store(E::EMPTY, Ordering::Release);
+            self.t.chase_claims.fetch_and(!(1 << s), Ordering::AcqRel);
+        }
+    }
+}
+
+impl<E: HashEntry> FcHashTable<E> {
+    /// Claims a free chaser slot, waiting while all are taken (chasers
+    /// never wait on anything, so slots free up).
+    fn claim_chase_slot(&self) -> usize {
+        let mut spins = 0u32;
+        loop {
+            let held = self.chase_claims.load(Ordering::Relaxed);
+            if held != u64::MAX {
+                let s = (!held).trailing_zeros() as usize;
+                if self
+                    .chase_claims
+                    .compare_exchange_weak(held, held | 1 << s, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    return s;
+                }
+            } else {
+                spins += 1;
+                if spins < 64 {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
+}
+
+impl<E: HashEntry> ProbeCore for FcHashTable<E> {
+    type Entry = E;
+    type Fill = i64;
+    const TYPE_NAME: &'static str = "FcHashTable";
+
     #[inline]
-    pub(crate) fn prefetch_repr(&self, v: u64) {
-        crate::batch::prefetch_slot(&self.cells, self.slot(E::hash(v)));
+    fn cells(&self) -> &[AtomOf<E::Repr>] {
+        &self.cells
+    }
+    #[inline]
+    fn home(&self, v: u64) -> usize {
+        self.slot(E::hash(v))
+    }
+    #[inline]
+    fn insert_scalar(&self, v: u64, del0: u64) -> Result<i64, u64> {
+        self.try_insert_net_scalar(v, del0, false)
+    }
+    #[inline(always)]
+    fn insert_wide<K: Kernel>(&self, v: u64, del0: u64, k: K) -> Result<i64, u64> {
+        self.try_insert_net_wide_with(v, crate::batch::wide_key_mask::<E>(), del0, false, k)
+    }
+    #[inline]
+    fn find_scalar(&self, v: u64) -> Option<u64> {
+        self.find_retrying(|| self.find_once_scalar(v))
+    }
+    #[inline(always)]
+    fn find_wide<K: Kernel>(&self, v: u64, k: K) -> Option<u64> {
+        let key_mask = crate::batch::wide_key_mask::<E>();
+        self.find_retrying(|| self.find_once_wide_with(v, key_mask, k))
+    }
+    #[inline]
+    fn delete(&self, v: u64, ins0: u64) -> bool {
+        self.delete_repr(v, ins0)
+    }
+    #[inline]
+    fn filled(net: i64) -> bool {
+        net > 0
+    }
+    // The windows register the writer on its own state word once and
+    // hand the opposite-kind snapshot to every op inside them.
+    fn open_insert(&self) -> u64 {
+        self.ins_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
+        self.del_state.load(Ordering::SeqCst)
+    }
+    fn close_insert(&self, _del0: u64) {
+        self.ins_state.fetch_sub(1, Ordering::SeqCst);
+    }
+    fn open_delete(&self) -> u64 {
+        self.del_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
+        self.ins_state.load(Ordering::SeqCst)
+    }
+    fn close_delete(&self, _ins0: u64) {
+        self.del_state.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A repair's re-insert of an entry it just pulled out: like a
+/// displaced carry, it relocates a live entry, so meeting another copy
+/// of its key waits out any chase that owns a surplus copy before
+/// merging (see [`FcHashTable::await_chase`]).
+struct Relocate(u64, u64);
+
+impl<E: HashEntry> crate::simd::TierOp<FcHashTable<E>> for Relocate {
+    type Out = Result<i64, u64>;
+    const WIDE: bool = E::SIMD_KEY_MASK.is_some();
+    fn scalar(self, t: &FcHashTable<E>) -> Self::Out {
+        t.try_insert_net_scalar(self.0, self.1, true)
+    }
+    #[inline(always)]
+    fn wide<K: Kernel>(self, t: &FcHashTable<E>, k: K) -> Self::Out {
+        let key_mask = crate::batch::wide_key_mask::<E>();
+        t.try_insert_net_wide_with(self.0, key_mask, self.1, true, k)
+    }
+}
+
+/// The speculative quiescent batch lookup as a tier op: no
+/// speculation at the scalar tier (`false`).
+struct SpecFind<'a, E: HashEntry>(&'a [E], &'a mut Vec<Option<E>>);
+
+impl<E: HashEntry> crate::simd::TierOp<FcHashTable<E>> for SpecFind<'_, E> {
+    type Out = bool;
+    const WIDE: bool = E::SIMD_KEY_MASK.is_some();
+    fn scalar(self, _: &FcHashTable<E>) -> bool {
+        false
+    }
+    #[inline(always)]
+    fn wide<K: Kernel>(self, t: &FcHashTable<E>, k: K) -> bool {
+        t.find_spec_loop_body(self.0, self.1, k);
+        true
     }
 }
 
@@ -1596,72 +1347,13 @@ impl<E: HashEntry> PhaseHashTable<E> for FcHashTable<E> {
 
 impl<E: HashEntry> crate::resize::FlatTableCore<E> for FcHashTable<E> {
     const GROW_NAME: &'static str = "linearHash-FC-grow";
+    const NEEDS_ROOMS: bool = false;
 
     fn new_pow2(log2_size: u32) -> Self {
         FcHashTable::new_pow2(log2_size)
     }
-    fn capacity(&self) -> usize {
-        FcHashTable::capacity(self)
-    }
-    fn insert_counted(&self, e: E) -> bool {
-        FcHashTable::insert_counted(self, e)
-    }
-    fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        FcHashTable::try_insert_repr(self, v)
-    }
-    fn delete_counted(&self, key: E) -> bool {
-        FcHashTable::delete_counted(self, key)
-    }
-    // The windowed hooks let the growable wrapper's batch loops pay the
-    // `SeqCst` overlap registration once per window instead of once per
-    // op; the token carries the opposite-kind state snapshot the ops
-    // inside the window validate against.
-    fn open_insert_window(&self) -> u64 {
-        self.ins_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        self.del_state.load(Ordering::SeqCst)
-    }
-    fn close_insert_window(&self, _token: u64) {
-        self.ins_state.fetch_sub(1, Ordering::SeqCst);
-    }
-    fn try_insert_repr_in(&self, v: u64, del0: u64) -> Result<bool, u64> {
-        self.try_insert_net(v, del0).map(|net| net > 0)
-    }
-    fn open_delete_window(&self) -> u64 {
-        self.del_state.fetch_add(EPOCH_ONE | 1, Ordering::SeqCst);
-        self.ins_state.load(Ordering::SeqCst)
-    }
-    fn close_delete_window(&self, _token: u64) {
-        self.del_state.fetch_sub(1, Ordering::SeqCst);
-    }
-    fn delete_counted_in(&self, key: E, ins0: u64) -> bool {
-        self.delete_repr(key.to_repr(), ins0)
-    }
-    fn find(&self, key: E) -> Option<E> {
-        FcHashTable::find(self, key)
-    }
     fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
         FcHashTable::find_batch(self, keys)
-    }
-    fn prefetch_repr(&self, v: u64) {
-        FcHashTable::prefetch_repr(self, v)
-    }
-    fn elements(&self) -> Vec<E> {
-        FcHashTable::elements(self)
-    }
-    fn elements_into(&self, out: &mut Vec<E>) {
-        FcHashTable::elements_into(self, out)
-    }
-    fn snapshot(&self) -> Vec<u64> {
-        FcHashTable::snapshot(self)
-    }
-    fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
-        FcHashTable::raw_cells(self)
-    }
-    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
-        FcHashTable::for_each_in_range(self, range, f)
-    }
-    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        FcHashTable::claim_range_forward(self, range, out)
     }
     fn quiesce_writers(&self) {
         FcHashTable::quiesce_writers(self)

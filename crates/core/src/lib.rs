@@ -23,6 +23,16 @@
 //! | [`FcHashTable`] | `linearHash-FC` | fully concurrent, history-independent at quiescence (see [`fc`]) |
 //!
 //! Phase discipline is enforced by the type system: see [`phase`].
+//!
+//! The flat tables share their plumbing: each writes its probe loops
+//! once — a scalar reference form plus a wide form generic over a
+//! [`simd::Kernel`] — and [`simd::dispatch`] binds the SIMD tier once
+//! per operation or batch; the prefetching batch loops, grain
+//! chunking and `elements` packing live once in [`batch`]. Growth is
+//! [`ResizableTable`] over any [`FlatTableCore`], and
+//! [`AutoPhaseGrowTable`] is the one room-synchronized wrapper on top
+//! ([`FcAutoGrowTable`] is the same wrapper over the fc core, which
+//! needs no rooms).
 
 #![warn(missing_docs)]
 
@@ -61,8 +71,8 @@ pub use phase::{
 pub use priority_write::{
     write_max, write_max_u32, write_max_usize, write_min, write_min_u32, write_min_usize,
 };
-pub use resize::{FlatTableCore, ResizableTable, StwResizableTable};
+pub use resize::{FlatTableCore, ResizableTable};
 pub use robinhood::RobinHoodHashTable;
-pub use rooms::{AutoPhaseGrowTable, AutoPhaseTable, FcAutoGrowTable, FcAutoTable, Room, RoomSync};
+pub use rooms::{AutoPhaseGrowTable, FcAutoGrowTable, Room, RoomSync};
 pub use serial::{SerialHashHD, SerialHashHI};
 pub use simd::SimdTier;

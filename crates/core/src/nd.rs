@@ -21,11 +21,13 @@
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 
+use crate::batch::ProbeCore;
 use crate::cell::{AtomOf, CellAtomic};
 use crate::entry::HashEntry;
 use crate::phase::{
     ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
 };
+use crate::simd::Kernel;
 
 /// Debug-build phase-discipline check shared by every ND operation:
 /// asserts the probe is a real entry (matching the deterministic
@@ -83,20 +85,12 @@ impl<E: HashEntry> NdHashTable<E> {
     /// Snapshot of the raw cell contents (quiescent use only). Unlike
     /// the deterministic table's, this layout depends on history.
     pub fn snapshot(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .collect()
+        crate::batch::snapshot(&self.cells)
     }
 
     #[inline]
     fn slot(&self, hash: u64) -> usize {
         (hash as usize) & self.mask
-    }
-
-    #[inline]
-    fn dist(&self, from: usize, to: usize) -> usize {
-        (to.wrapping_sub(from)) & self.mask
     }
 
     /// Inserts an entry at the first empty cell of its probe sequence;
@@ -107,12 +101,11 @@ impl<E: HashEntry> NdHashTable<E> {
     pub fn insert(&self, e: E) {
         let v = e.to_repr();
         nd_phase_check!(v);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return self.insert_wide(v, key_mask);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
+        let _ = crate::batch::insert(self, v, 0);
+    }
+
+    /// The scalar first-fit insert loop (reference semantics).
+    fn insert_scalar(&self, v: u64) {
         let mut i = self.slot(E::hash(v));
         let mut steps = 0usize;
         let mut cas_fails = 0usize;
@@ -164,80 +157,10 @@ impl<E: HashEntry> NdHashTable<E> {
     /// a concurrent insert between scan and confirm fails its CAS
     /// (yielding the true current value) and is a counted
     /// misspeculation that re-scans from the next cell — as the scalar
-    /// loop would. The dispatch tier is bound **once per operation**
-    /// here; the probe loop itself runs inside one `#[target_feature]`
-    /// body with the kernel statically selected.
-    fn insert_wide(&self, v: u64, key_mask: u64) {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => unsafe { self.insert_wide_avx2(v, key_mask) },
-                _ => self.insert_wide_sse2(v, key_mask),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        self.insert_wide_body(
-            v,
-            key_mask,
-            &|cells: &[AtomOf<E::Repr>], start: usize, end: usize| {
-                crate::simd::scan_for_key(cells, start, end, E::EMPTY, key_mask, v)
-            },
-        );
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn insert_wide_avx2(&self, v: u64, key_mask: u64) {
-        self.insert_wide_body(
-            v,
-            key_mask,
-            &|cells: &[AtomOf<E::Repr>], start: usize, end: usize| {
-                // SAFETY: AVX2 was verified by the dispatch site binding
-                // this kernel; range is in bounds (see `crate::simd::x86`).
-                unsafe {
-                    crate::simd::scan_for_key_avx2_w(
-                        cells,
-                        start,
-                        end,
-                        E::EMPTY,
-                        key_mask,
-                        v & key_mask,
-                    )
-                }
-            },
-        );
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn insert_wide_sse2(&self, v: u64, key_mask: u64) {
-        self.insert_wide_body(
-            v,
-            key_mask,
-            &|cells: &[AtomOf<E::Repr>], start: usize, end: usize| {
-                // SAFETY: SSE2 is the x86-64 baseline; range is in bounds.
-                unsafe {
-                    crate::simd::scan_for_key_sse2_w(
-                        cells,
-                        start,
-                        end,
-                        E::EMPTY,
-                        key_mask,
-                        v & key_mask,
-                    )
-                }
-            },
-        );
-    }
-
-    /// The wide insert probe loop, generic over the bound scan kernel.
+    /// loop would. The kernel `k` is bound once per operation or batch
+    /// by [`crate::simd::dispatch`].
     #[inline(always)]
-    fn insert_wide_body(
-        &self,
-        v: u64,
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize) -> crate::simd::ScanHit,
-    ) {
+    fn insert_wide_body<K: Kernel>(&self, v: u64, key_mask: u64, k: K) {
         let n = self.cells.len();
         let mut i = self.slot(E::hash(v));
         let mut steps = 0usize;
@@ -253,14 +176,9 @@ impl<E: HashEntry> NdHashTable<E> {
                 lanes_total += 1;
                 (i, peek)
             } else {
-                let (hit, lanes) = scan(&self.cells, i, n);
-                let (hit, lanes) = match hit {
-                    Some(_) => (hit, lanes),
-                    None => {
-                        let (wrapped, more) = scan(&self.cells, 0, i);
-                        (wrapped, lanes + more)
-                    }
-                };
+                let probe_masked = v & key_mask;
+                let (hit, lanes) =
+                    k.scan_for_key_wrapping(&self.cells, i, E::EMPTY, key_mask, probe_masked);
                 lanes_total += lanes;
                 match hit {
                     Some(hit) => hit,
@@ -334,26 +252,7 @@ impl<E: HashEntry> NdHashTable<E> {
     /// upcoming home slots (see [`crate::batch`]); semantically
     /// identical to inserting the entries one by one in slice order.
     pub fn insert_batch(&self, entries: &[E]) {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        let n = entries.len();
-        if n == 0 {
-            return;
-        }
-        // Writers dirty the lines they prefetch, so the insert pipeline
-        // is shallower when the pool runs more than one worker (see
-        // `crate::batch::insert_prefetch_ahead`).
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(E::hash(e.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            self.insert(entries[i]);
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
+        crate::batch::insert_batch(self, entries)
     }
 
     /// Inserts a key-value entry, accumulating the value field with a
@@ -405,12 +304,11 @@ impl<E: HashEntry> NdHashTable<E> {
     pub fn find(&self, key: E) -> Option<E> {
         let probe = key.to_repr();
         nd_phase_check!(probe);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            if let Some(key_mask) = E::SIMD_KEY_MASK {
-                return self.find_wide(probe, key_mask);
-            }
-            phc_obs::probe!(count SimdFallbacks);
-        }
+        crate::batch::find(self, probe).map(E::from_repr)
+    }
+
+    /// The scalar first-fit lookup loop (reference semantics).
+    fn find_scalar(&self, probe: u64) -> Option<u64> {
         let mut i = self.slot(E::hash(probe));
         let mut steps = 0usize;
         let result = 'scan: {
@@ -420,7 +318,7 @@ impl<E: HashEntry> NdHashTable<E> {
                     break 'scan None;
                 }
                 if E::same_key(c, probe) {
-                    break 'scan Some(E::from_repr(c));
+                    break 'scan Some(c);
                 }
                 i = (i + 1) & self.mask;
                 steps += 1;
@@ -434,81 +332,14 @@ impl<E: HashEntry> NdHashTable<E> {
     /// Wide-scan find: the first-fit probe stops at the first empty
     /// cell or copy of the key — exactly [`crate::simd::scan_for_key`].
     /// Find phases are quiescent, so the result is byte-identical to
-    /// the scalar loop at every tier. The dispatch tier is bound once
-    /// per operation, mirroring [`Self::insert_wide`].
-    fn find_wide(&self, probe: u64, key_mask: u64) -> Option<E> {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => unsafe { self.find_wide_avx2(probe, key_mask) },
-                _ => self.find_wide_sse2(probe, key_mask),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        self.find_wide_body(probe, &|cells: &[AtomOf<E::Repr>],
-                                     start: usize,
-                                     end: usize| {
-            crate::simd::scan_for_key(cells, start, end, E::EMPTY, key_mask, probe)
-        })
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_wide_avx2(&self, probe: u64, key_mask: u64) -> Option<E> {
-        self.find_wide_body(probe, &|cells: &[AtomOf<E::Repr>],
-                                     start: usize,
-                                     end: usize| {
-            // SAFETY: AVX2 verified by the dispatch site; in-bounds range.
-            unsafe {
-                crate::simd::scan_for_key_avx2_w(
-                    cells,
-                    start,
-                    end,
-                    E::EMPTY,
-                    key_mask,
-                    probe & key_mask,
-                )
-            }
-        })
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn find_wide_sse2(&self, probe: u64, key_mask: u64) -> Option<E> {
-        self.find_wide_body(probe, &|cells: &[AtomOf<E::Repr>],
-                                     start: usize,
-                                     end: usize| {
-            // SAFETY: SSE2 is the x86-64 baseline; in-bounds range.
-            unsafe {
-                crate::simd::scan_for_key_sse2_w(
-                    cells,
-                    start,
-                    end,
-                    E::EMPTY,
-                    key_mask,
-                    probe & key_mask,
-                )
-            }
-        })
-    }
-
-    /// The wide find probe, generic over the bound scan kernel.
+    /// the scalar loop at every tier.
     #[inline(always)]
-    fn find_wide_body(
-        &self,
-        probe: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize) -> crate::simd::ScanHit,
-    ) -> Option<E> {
+    fn find_wide_body<K: Kernel>(&self, probe: u64, key_mask: u64, k: K) -> Option<u64> {
         let n = self.cells.len();
         let home = self.slot(E::hash(probe));
-        let (hit, lanes) = scan(&self.cells, home, n);
-        let (hit, lanes) = match hit {
-            Some(_) => (hit, lanes),
-            None => {
-                let (wrapped, more) = scan(&self.cells, 0, home);
-                (wrapped, lanes + more)
-            }
-        };
+        let probe_masked = probe & key_mask;
+        let (hit, lanes) =
+            k.scan_for_key_wrapping(&self.cells, home, E::EMPTY, key_mask, probe_masked);
         phc_obs::probe!(count SimdLanesScanned, lanes);
         phc_obs::probe!(hist SimdLanesPerProbe, lanes);
         match hit {
@@ -517,11 +348,7 @@ impl<E: HashEntry> NdHashTable<E> {
                 // Find phases are quiescent, so the value the kernel
                 // loaded at the stop lane equals what a re-load would
                 // return — use it directly.
-                if c == E::EMPTY {
-                    None
-                } else {
-                    Some(E::from_repr(c))
-                }
+                (c != E::EMPTY).then_some(c)
             }
             None => {
                 // Full table without the key (the scalar guard case).
@@ -534,24 +361,7 @@ impl<E: HashEntry> NdHashTable<E> {
     /// Looks up a batch of keys with software prefetching, returning
     /// results in key order: `out[i] == self.find(keys[i])`.
     pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return out;
-        }
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            out.push(self.find(keys[i]));
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-        out
+        crate::batch::find_batch(self, keys)
     }
 
     /// Deletes the entry with `key`'s key part, shifting a following
@@ -602,7 +412,7 @@ impl<E: HashEntry> NdHashTable<E> {
                 // are responsible for deleting the one at `j`.
                 v = replacement;
                 k = j;
-                i = self.lift_hash(replacement, j);
+                i = self.lift_home(replacement, j);
             } else {
                 // The cell changed; the copy we chase can only be lower.
                 k -= 1;
@@ -616,22 +426,7 @@ impl<E: HashEntry> NdHashTable<E> {
     /// [`insert_batch`](Self::insert_batch). Semantically identical to
     /// deleting the keys one by one in slice order.
     pub fn delete_batch(&self, keys: &[E]) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        if n == 0 {
-            return;
-        }
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(E::hash(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(E::hash(next.to_repr())));
-            }
-            self.delete(keys[i]);
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
+        crate::batch::delete_batch(self, keys)
     }
 
     /// Deletes a slice in parallel through the batched prefetching
@@ -639,26 +434,7 @@ impl<E: HashEntry> NdHashTable<E> {
     /// Unlike the deterministic table's, the surviving *layout* depends
     /// on delete interleaving; the surviving *key set* does not.
     pub fn par_delete_batched(&self, keys: &[E]) {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.delete_batch(chunk));
-    }
-
-    #[inline]
-    fn load_at(&self, virtual_idx: usize) -> u64 {
-        self.cells[virtual_idx & self.mask].load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn cas_at(&self, virtual_idx: usize, old: u64, new: u64) -> bool {
-        self.cells[virtual_idx & self.mask]
-            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    #[inline]
-    fn lift_hash(&self, repr: u64, at: usize) -> usize {
-        at - self.dist(self.slot(E::hash(repr)), at & self.mask)
+        crate::batch::par_chunked(keys, |c| self.delete_batch(c))
     }
 
     /// First entry after hole `i` (virtual) that may move back to it,
@@ -668,7 +444,7 @@ impl<E: HashEntry> NdHashTable<E> {
         loop {
             j += 1;
             let x = self.load_at(j);
-            if x == E::EMPTY || self.lift_hash(x, j) <= i {
+            if x == E::EMPTY || self.lift_home(x, j) <= i {
                 return (j, x);
             }
         }
@@ -677,13 +453,7 @@ impl<E: HashEntry> NdHashTable<E> {
     /// Packs the non-empty cells in cell order (parallel). The order is
     /// *not* history-independent for this table.
     pub fn elements(&self) -> Vec<E> {
-        // Mask-based pack (see
-        // [`DetHashTable::elements`](crate::DetHashTable::elements)).
-        phc_parutil::pack_with_mask(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(c.load(Ordering::Acquire)),
-        )
+        crate::batch::elements(self)
     }
 
     /// [`elements`](Self::elements) into a caller-provided buffer
@@ -691,24 +461,13 @@ impl<E: HashEntry> NdHashTable<E> {
     /// reused — see
     /// [`DetHashTable::elements_into`](crate::DetHashTable::elements_into)).
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        phc_parutil::pack_with_mask_into(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(c.load(Ordering::Acquire)),
-            out,
-        );
+        crate::batch::elements_into(self, out)
     }
 
     /// Applies `f` to every stored entry in parallel without packing
     /// (see [`DetHashTable::for_each_entry`](crate::DetHashTable::for_each_entry)).
     pub fn for_each_entry(&self, f: impl Fn(E) + Send + Sync) {
-        use rayon::prelude::*;
-        self.cells.par_iter().with_min_len(4096).for_each(|c| {
-            let v = c.load(Ordering::Acquire);
-            if v != E::EMPTY {
-                f(E::from_repr(v));
-            }
-        });
+        crate::batch::for_each_entry(self, f)
     }
 
     /// Number of occupied cells.
@@ -719,6 +478,48 @@ impl<E: HashEntry> NdHashTable<E> {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<E: HashEntry> ProbeCore for NdHashTable<E> {
+    type Entry = E;
+    type Fill = ();
+    const TYPE_NAME: &'static str = "NdHashTable";
+
+    #[inline]
+    fn cells(&self) -> &[AtomOf<E::Repr>] {
+        &self.cells
+    }
+    #[inline]
+    fn home(&self, v: u64) -> usize {
+        self.slot(E::hash(v))
+    }
+    #[inline]
+    fn insert_scalar(&self, v: u64, _tok: u64) -> Result<(), u64> {
+        NdHashTable::insert_scalar(self, v);
+        Ok(())
+    }
+    #[inline(always)]
+    fn insert_wide<K: Kernel>(&self, v: u64, _tok: u64, k: K) -> Result<(), u64> {
+        self.insert_wide_body(v, crate::batch::wide_key_mask::<E>(), k);
+        Ok(())
+    }
+    #[inline]
+    fn find_scalar(&self, v: u64) -> Option<u64> {
+        NdHashTable::find_scalar(self, v)
+    }
+    #[inline(always)]
+    fn find_wide<K: Kernel>(&self, v: u64, k: K) -> Option<u64> {
+        self.find_wide_body(v, crate::batch::wide_key_mask::<E>(), k)
+    }
+    #[inline]
+    fn delete(&self, v: u64, _tok: u64) -> bool {
+        NdHashTable::delete(self, E::from_repr(v));
+        false
+    }
+    #[inline]
+    fn filled(_: ()) -> bool {
+        false
     }
 }
 

@@ -17,8 +17,8 @@
 //! successor, and then proceeds against the live tail. Migration cost
 //! is spread across all operating threads with a hard per-op bound —
 //! there is no freeze wait, no exclusive lock, and no stop-the-world
-//! rebuild (the original `RwLock` implementation is preserved as
-//! [`StwResizableTable`] for the `resize` benchmark ablation).
+//! rebuild (the original `RwLock` implementation lives on in the
+//! `phc-bench` crate as the `resize` ablation baseline).
 //!
 //! ## Forwarding invariant
 //!
@@ -94,8 +94,9 @@
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
+use crate::batch::ProbeCore;
 use crate::cell::AtomOf;
 use crate::det::DetHashTable;
 use crate::entry::HashEntry;
@@ -104,13 +105,13 @@ use crate::phase::{
 };
 
 /// The fixed-capacity flat-table surface the growth machinery builds
-/// on: everything an [`Epoch`] (cooperative migration), the
-/// stop-the-world rebuilder, and the room wrappers
-/// ([`crate::rooms::AutoPhaseTable`]) need from a backing table. Both
-/// phase-concurrent open-addressing cores — the deterministic
-/// linear-probing table and the Robin Hood table
-/// ([`crate::robinhood::RobinHoodHashTable`]) — implement it, so every
-/// wrapper in this crate is generic over the core (with
+/// on: everything an [`Epoch`] (cooperative migration) and the room
+/// wrapper ([`crate::rooms::AutoPhaseGrowTable`]) need from a backing
+/// table. The open-addressing cores — the deterministic
+/// linear-probing table, the Robin Hood table
+/// ([`crate::robinhood::RobinHoodHashTable`]) and the fully-concurrent
+/// table ([`crate::fc::FcHashTable`]) — implement it, so every wrapper
+/// in this crate is generic over the core (with
 /// `DetHashTable` as the default type parameter everywhere, keeping
 /// existing code source-compatible).
 ///
@@ -120,95 +121,116 @@ use crate::phase::{
 /// the `Err` carry of [`try_insert_repr`](Self::try_insert_repr) —
 /// because migration re-inserts reprs into a *different* table
 /// instance.
-pub trait FlatTableCore<E: HashEntry>: Send + Sync {
+///
+/// Every method but [`new_pow2`](Self::new_pow2) has a default written
+/// once over the core's [`ProbeCore`] primitives (the same ones the
+/// batch driver runs), so a core states only its names and what it does
+/// differently. The insert/delete windows are `ProbeCore`'s
+/// `open_*`/`close_*` hooks: cores that track live writer overlap (the
+/// fc core) register once per window there instead of once per op.
+pub trait FlatTableCore<E: HashEntry>: ProbeCore<Entry = E> + Sized + Send + Sync {
     /// `PhaseHashTable::NAME` for the growable wrapper over this core
     /// (e.g. `"linearHash-D-grow"`).
     const GROW_NAME: &'static str;
+    /// Whether callers need room synchronization to keep operation
+    /// types apart ([`crate::rooms::AutoPhaseGrowTable`] enters a room
+    /// per call iff this holds). True for the phase-concurrent cores;
+    /// the fully-concurrent fc core repairs overlap online instead.
+    const NEEDS_ROOMS: bool = true;
 
     /// Creates a table with `2^log2_size` cells, all empty.
     fn new_pow2(log2_size: u32) -> Self;
+    /// Creates a table with at least `n_items / max_load` cells
+    /// (rounded up to a power of two).
+    fn with_capacity_for(n_items: usize, max_load: f64) -> Self {
+        assert!(max_load > 0.0 && max_load < 1.0);
+        let want = ((n_items as f64 / max_load).ceil() as usize).max(4);
+        Self::new_pow2(want.next_power_of_two().trailing_zeros())
+    }
     /// Number of cells.
-    fn capacity(&self) -> usize;
+    fn capacity(&self) -> usize {
+        self.cells().len()
+    }
     /// Inserts, returning the global net-new-element fill credit (see
     /// `DetHashTable::insert_counted`). Panics if the table is full.
-    fn insert_counted(&self, e: E) -> bool;
+    fn insert_counted(&self, e: E) -> bool {
+        self.try_insert_repr(e.to_repr()).unwrap_or_else(|_| {
+            panic!(
+                "{}::insert: table is full (capacity {})",
+                Self::TYPE_NAME,
+                self.capacity()
+            )
+        })
+    }
     /// Fallible insert of a repr: `Ok(filled)` as in
     /// [`insert_counted`](Self::insert_counted), or `Err(carried)`
     /// handing back the (untransformed) repr left homeless by a
     /// hard-full probe; displacements performed before the wrap stand.
-    fn try_insert_repr(&self, v: u64) -> Result<bool, u64>;
+    fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
+        let tok = self.open_insert();
+        let r = self.try_insert_repr_in(v, tok);
+        self.close_insert(tok);
+        r
+    }
+    /// [`try_insert_repr`](Self::try_insert_repr) inside an insert
+    /// window opened with `ProbeCore::open_insert`.
+    fn try_insert_repr_in(&self, v: u64, tok: u64) -> Result<bool, u64> {
+        crate::batch::insert(self, v, tok).map(Self::filled)
+    }
     /// Deletes, returning the global net-removed-element credit.
-    fn delete_counted(&self, key: E) -> bool;
-    /// Opens a bulk-insert window, returning an opaque token for
-    /// [`try_insert_repr_in`](Self::try_insert_repr_in). Cores that
-    /// track live writer overlap (the fc core) register once per
-    /// window here instead of once per insert — the per-op `SeqCst`
-    /// register/retire pair would otherwise dominate batched inserts.
-    /// Phase-disciplined cores need nothing and keep the no-op
-    /// default.
-    fn open_insert_window(&self) -> u64 {
-        0
+    fn delete_counted(&self, key: E) -> bool {
+        let tok = self.open_delete();
+        let r = self.delete_counted_in(key, tok);
+        self.close_delete(tok);
+        r
     }
-    /// Closes a window opened by
-    /// [`open_insert_window`](Self::open_insert_window).
-    fn close_insert_window(&self, token: u64) {
-        let _ = token;
-    }
-    /// [`try_insert_repr`](Self::try_insert_repr) inside an open
-    /// insert window (the default ignores the token).
-    fn try_insert_repr_in(&self, v: u64, token: u64) -> Result<bool, u64> {
-        let _ = token;
-        self.try_insert_repr(v)
-    }
-    /// Opens a bulk-delete window (the delete analogue of
-    /// [`open_insert_window`](Self::open_insert_window)).
-    fn open_delete_window(&self) -> u64 {
-        0
-    }
-    /// Closes a bulk-delete window.
-    fn close_delete_window(&self, token: u64) {
-        let _ = token;
-    }
-    /// [`delete_counted`](Self::delete_counted) inside an open delete
-    /// window (the default ignores the token).
-    fn delete_counted_in(&self, key: E, token: u64) -> bool {
-        let _ = token;
-        self.delete_counted(key)
+    /// [`delete_counted`](Self::delete_counted) inside a delete window
+    /// opened with `ProbeCore::open_delete`.
+    fn delete_counted_in(&self, key: E, tok: u64) -> bool {
+        ProbeCore::delete(self, key.to_repr(), tok)
     }
     /// Looks up the entry with `key`'s key part.
-    fn find(&self, key: E) -> Option<E>;
-    /// Batched lookup, one result per key in key order. The default is
-    /// a per-key loop; the flat cores override it with their
-    /// prefetching, tier-bound batch kernels so growable wrappers and
+    fn find(&self, key: E) -> Option<E> {
+        crate::batch::find(self, key.to_repr()).map(E::from_repr)
+    }
+    /// Batched lookup, one result per key in key order, through the
+    /// prefetching tier-bound batch driver, so growable wrappers and
     /// the server's shards get the same lookup fast path as the
     /// fixed-capacity tables.
     fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        keys.iter().map(|&k| self.find(k)).collect()
+        crate::batch::find_batch(self, keys)
     }
     /// Hints the memory system to pull `v`'s home-slot cache line in
-    /// ahead of a probe (see [`crate::batch`]). A pure performance
-    /// hint — the default is a no-op; the flat cores prefetch their
-    /// cell arrays so the growable batch loops get the same
-    /// miss-overlapping pipeline as the fixed-capacity batch kernels.
+    /// ahead of a probe (see [`crate::batch`]), so the growable batch
+    /// loops get the same miss-overlapping pipeline as the
+    /// fixed-capacity batch kernels. A pure performance hint.
     fn prefetch_repr(&self, v: u64) {
-        let _ = v;
+        crate::batch::prefetch_slot(self.cells(), self.home(v));
     }
     /// Packs the stored entries in cell order (deterministic).
-    fn elements(&self) -> Vec<E>;
+    fn elements(&self) -> Vec<E> {
+        crate::batch::elements(self)
+    }
     /// [`elements`](Self::elements) into a caller-supplied buffer:
     /// appends the packed entries to `out` without allocating a fresh
     /// `Vec` per call, so steady-state callers (the server's shard
     /// loop) reuse one buffer's high-water capacity across batches.
     fn elements_into(&self, out: &mut Vec<E>) {
-        out.extend(self.elements());
+        crate::batch::elements_into(self, out)
     }
     /// Raw snapshot of the cell array (the core's canonical layout).
-    fn snapshot(&self) -> Vec<u64>;
+    fn snapshot(&self) -> Vec<u64> {
+        crate::batch::snapshot(self.cells())
+    }
     /// Raw view of the cell array (width follows the entry's `Repr`).
-    fn raw_cells(&self) -> &[AtomOf<E::Repr>];
+    fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
+        self.cells()
+    }
     /// Applies `f` to every entry in the (quiescent) cell range, in
     /// cell order — the migration primitive.
-    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E));
+    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
+        crate::batch::for_each_in_range(self, range, f)
+    }
     /// Atomically claims every cell in the range for migration: swaps
     /// each cell (occupied *and* empty) to the core's stored form of
     /// the forwarding marker [`HashEntry::FORWARD`] and appends each
@@ -218,7 +240,9 @@ pub trait FlatTableCore<E: HashEntry>: Send + Sync {
     /// through to the successor; any in-flight single-cell CAS either
     /// landed before the swap (its value is in `out`) or fails against
     /// the marker (its owner re-routes the carry).
-    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>);
+    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
+        crate::batch::claim_range_forward(self, range, out)
+    }
     /// Blocks until the core has no in-flight *multi-cell* write
     /// protocol that a concurrent
     /// [`claim_range_forward`](Self::claim_range_forward) could tear
@@ -238,45 +262,6 @@ impl<E: HashEntry> FlatTableCore<E> for DetHashTable<E> {
 
     fn new_pow2(log2_size: u32) -> Self {
         DetHashTable::new_pow2(log2_size)
-    }
-    fn capacity(&self) -> usize {
-        DetHashTable::capacity(self)
-    }
-    fn insert_counted(&self, e: E) -> bool {
-        DetHashTable::insert_counted(self, e)
-    }
-    fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        DetHashTable::try_insert_repr(self, v)
-    }
-    fn delete_counted(&self, key: E) -> bool {
-        DetHashTable::delete_counted(self, key)
-    }
-    fn find(&self, key: E) -> Option<E> {
-        DetHashTable::find(self, key)
-    }
-    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        DetHashTable::find_batch(self, keys)
-    }
-    fn prefetch_repr(&self, v: u64) {
-        DetHashTable::prefetch_repr(self, v)
-    }
-    fn elements(&self) -> Vec<E> {
-        DetHashTable::elements(self)
-    }
-    fn elements_into(&self, out: &mut Vec<E>) {
-        DetHashTable::elements_into(self, out)
-    }
-    fn snapshot(&self) -> Vec<u64> {
-        DetHashTable::snapshot(self)
-    }
-    fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
-        DetHashTable::raw_cells(self)
-    }
-    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
-        DetHashTable::for_each_in_range(self, range, f)
-    }
-    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        DetHashTable::claim_range_forward(self, range, out)
     }
 }
 
@@ -544,17 +529,17 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
                 self.insert_batch_into_chain(ep, &[v]);
                 return;
             }
-            let tok = ep.table.open_insert_window();
+            let tok = ep.table.open_insert();
             if !ep.next.load(Ordering::SeqCst).is_null() {
                 // Published between the null-check and the window
                 // open; re-route (the `SeqCst` window/successor pair
                 // is what lets `quiesce_writers` exclude us).
-                ep.table.close_insert_window(tok);
+                ep.table.close_insert(tok);
                 continue;
             }
             match ep.table.try_insert_repr_in(v, tok) {
                 Ok(filled) => {
-                    ep.table.close_insert_window(tok);
+                    ep.table.close_insert(tok);
                     if filled {
                         let prev = ep.state.fetch_add(1, Ordering::AcqRel);
                         let items = (prev & ITEMS_MASK) + 1;
@@ -574,7 +559,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
                     // the canonical capacity (tiny seed tables under
                     // heavy concurrency). Either way the carry re-homes
                     // down the chain.
-                    ep.table.close_insert_window(tok);
+                    ep.table.close_insert(tok);
                     if ep.next.load(Ordering::SeqCst).is_null() {
                         self.publish_successor(ep);
                     }
@@ -607,6 +592,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
         // it lands.
         let mut carry: Option<u64> = None;
         let mut chunk: Vec<u64> = Vec::new();
+        let ahead = crate::batch::insert_prefetch_ahead();
         while i < entries.len() || carry.is_some() {
             let ep = self.current_epoch();
             if !ep.next.load(Ordering::SeqCst).is_null() {
@@ -622,66 +608,80 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
                 self.insert_batch_into_chain(ep, &chunk);
                 continue;
             }
-            let cap = ep.table.capacity();
-            let start_items = ep.state.load(Ordering::Acquire) & ITEMS_MASK;
-            let mut fills = 0usize;
-            let mut publish = false;
-            let ahead = crate::batch::insert_prefetch_ahead();
-            let tok = ep.table.open_insert_window();
-            if !ep.next.load(Ordering::SeqCst).is_null() {
-                ep.table.close_insert_window(tok);
-                continue;
+            let reprs = |j: usize| entries[j].to_repr();
+            self.fill_window(ep, entries.len(), reprs, ahead, &mut i, &mut carry);
+        }
+    }
+
+    /// One bounded insert window into `ep`: inserts `repr(i)` for
+    /// ascending `*i < len` (the pending `carry` first), at most
+    /// `WINDOW_CHUNK` of them, prefetching `ahead` entries in advance.
+    /// Stops early when the epoch reaches the growth threshold or an
+    /// insert hands back a carry. Fill credits post with one `AcqRel`
+    /// RMW per window — a per-entry credit RMW would dominate — and a
+    /// successor is published when needed. Returns without inserting
+    /// if `ep` gained a successor before the window opened.
+    fn fill_window(
+        &self,
+        ep: &Epoch<E, T>,
+        len: usize,
+        repr: impl Fn(usize) -> u64,
+        ahead: usize,
+        i: &mut usize,
+        carry: &mut Option<u64>,
+    ) {
+        let cap = ep.table.capacity();
+        let start_items = ep.state.load(Ordering::Acquire) & ITEMS_MASK;
+        let mut fills = 0usize;
+        let mut publish = false;
+        let tok = ep.table.open_insert();
+        if !ep.next.load(Ordering::SeqCst).is_null() {
+            // Published between the caller's check and the window
+            // open (the `SeqCst` window/successor pair is what lets
+            // `quiesce_writers` exclude us); the caller re-routes.
+            ep.table.close_insert(tok);
+            return;
+        }
+        for j in (*i..len).take(ahead) {
+            ep.table.prefetch_repr(repr(j));
+        }
+        let window_end = (*i + WINDOW_CHUNK).min(len);
+        while *i < window_end || carry.is_some() {
+            if Epoch::<E, T>::items_over_threshold(start_items + fills, cap) {
+                publish = true;
+                break;
             }
-            for e in entries.iter().skip(i).take(ahead) {
-                ep.table.prefetch_repr(e.to_repr());
+            if ahead > 0 && *i + ahead < len {
+                ep.table.prefetch_repr(repr(*i + ahead));
             }
-            let window_end = (i + WINDOW_CHUNK).min(entries.len());
-            while i < window_end || carry.is_some() {
-                if Epoch::<E, T>::items_over_threshold(start_items + fills, cap) {
+            let v = carry.unwrap_or_else(|| repr(*i));
+            match ep.table.try_insert_repr_in(v, tok) {
+                Ok(filled) => {
+                    fills += filled as usize;
+                    if carry.take().is_none() {
+                        *i += 1;
+                    }
+                }
+                Err(displaced) => {
+                    *carry = Some(displaced);
                     publish = true;
                     break;
                 }
-                if let Some(next) = entries.get(i + ahead) {
-                    ep.table.prefetch_repr(next.to_repr());
-                }
-                let v = carry.unwrap_or_else(|| entries[i].to_repr());
-                match ep.table.try_insert_repr_in(v, tok) {
-                    Ok(filled) => {
-                        fills += filled as usize;
-                        if carry.take().is_none() {
-                            i += 1;
-                        }
-                    }
-                    Err(displaced) => {
-                        carry = Some(displaced);
-                        publish = true;
-                        break;
-                    }
-                }
             }
-            ep.table.close_insert_window(tok);
-            if fills > 0 {
-                ep.state.fetch_add(fills, Ordering::AcqRel);
-            }
-            if publish && ep.next.load(Ordering::SeqCst).is_null() {
-                self.publish_successor(ep);
-            }
+        }
+        ep.table.close_insert(tok);
+        if fills > 0 {
+            ep.state.fetch_add(fills, Ordering::AcqRel);
+        }
+        if publish && ep.next.load(Ordering::SeqCst).is_null() {
+            self.publish_successor(ep);
         }
     }
 
     /// Parallel batched insert: chunks by [`phc_parutil::grain`] and
     /// drives [`insert_batch`](Self::insert_batch) per chunk.
     pub fn par_insert_batched(&self, entries: &[E]) {
-        use rayon::prelude::*;
-        // A single-chunk batch gains nothing from the pool; skip the
-        // dispatch (the server's per-shard sub-batches are usually
-        // well under one grain).
-        if entries.len() <= phc_parutil::grain() {
-            return self.insert_batch(entries);
-        }
-        entries
-            .par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.insert_batch(chunk));
+        crate::batch::par_chunked(entries, |c| self.insert_batch(c))
     }
 
     /// Registers the caller as an epoch writer for a delete, draining
@@ -750,21 +750,15 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// also lets the shrink check (and a racing grow publish) land
     /// between chunks.
     pub fn delete_batch(&self, keys: &[E]) {
-        use crate::batch::PREFETCH_AHEAD;
         for chunk in keys.chunks(WINDOW_CHUNK) {
             let ep = self.register_for_delete();
             let mut removed = 0usize;
-            let tok = ep.table.open_delete_window();
-            for k in chunk.iter().take(PREFETCH_AHEAD) {
-                ep.table.prefetch_repr(k.to_repr());
-            }
-            for (i, &k) in chunk.iter().enumerate() {
-                if let Some(next) = chunk.get(i + PREFETCH_AHEAD) {
-                    ep.table.prefetch_repr(next.to_repr());
-                }
-                removed += ep.table.delete_counted_in(k, tok) as usize;
-            }
-            ep.table.close_delete_window(tok);
+            let tok = ep.table.open_delete();
+            crate::batch::pipeline(&ep.table, chunk, crate::batch::PREFETCH_AHEAD, |v| {
+                removed += ProbeCore::delete(&ep.table, v, tok) as usize;
+                true
+            });
+            ep.table.close_delete(tok);
             let prev = ep.state.fetch_sub(ACTIVE_ONE + removed, Ordering::SeqCst);
             self.maybe_shrink(ep, (prev & ITEMS_MASK) - removed);
         }
@@ -772,13 +766,10 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
 
     /// Parallel batched delete: chunks by [`phc_parutil::grain`].
     pub fn par_delete_batched(&self, keys: &[E]) {
-        use rayon::prelude::*;
-        if keys.len() <= phc_parutil::grain() {
-            return self.delete_batch(keys);
+        if keys.len() > phc_parutil::grain() {
+            self.quiesce();
         }
-        self.quiesce();
-        keys.par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.delete_batch(chunk));
+        crate::batch::par_chunked(keys, |c| self.delete_batch(c))
     }
 
     /// Looks up a key (find/elements phase).
@@ -798,14 +789,10 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// results stay in key order (`flat_map_iter` over ordered
     /// chunks).
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        use rayon::prelude::*;
-        if keys.len() <= phc_parutil::grain() {
-            return self.find_batch(keys);
+        if keys.len() > phc_parutil::grain() {
+            self.quiesce();
         }
-        self.quiesce();
-        keys.par_chunks(phc_parutil::grain())
-            .flat_map_iter(|chunk| self.find_batch(chunk))
-            .collect()
+        crate::batch::par_chunked_map(keys, |c| self.find_batch(c))
     }
 
     /// Packs the contents (deterministic sequence).
@@ -893,10 +880,9 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
             spin_wait(&mut spins);
         }
         ep.table.quiesce_writers();
-        // Timeline marker: the migrator passed the writer gate and may
-        // now claim blocks (the freeze-era meaning — "all writers
-        // drained into a handshake" — is retired; see `FreezeWaits`).
-        phc_obs::probe!(phase EpochFreeze);
+        // Timeline marker: the migrator passed the delete-writer gate
+        // and may now claim blocks.
+        phc_obs::probe!(phase DeleteWriterGate);
     }
 
     /// Claims up to `max_blocks` migration blocks of the retiring
@@ -940,17 +926,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// table-sized drain.
     fn help_quota(&self, ep: &Epoch<E, T>) {
         let Some(next) = self.next_of(ep) else { return };
-        phc_obs::probe!(count MigrationHelps);
-        let t0 = if phc_obs::Recorder::ENABLED {
-            phc_obs::now_ns()
-        } else {
-            0
-        };
-        self.gate_writers(ep);
-        self.claim_blocks(ep, next, HELP_QUOTA_BLOCKS);
-        if phc_obs::Recorder::ENABLED {
-            phc_obs::probe!(hist MigrationStallNanos, (phc_obs::now_ns() - t0) as usize);
-        }
+        self.help(ep, next, HELP_QUOTA_BLOCKS, || {});
     }
 
     /// Fully drains the retiring epoch `ep` into its successor: passes
@@ -960,6 +936,22 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// insert hot path only ever pays [`help_quota`](Self::help_quota).
     fn help_migrate(&self, ep: &Epoch<E, T>) {
         let next = self.next_of(ep).expect("help_migrate on unfrozen epoch");
+        self.help(ep, next, usize::MAX, || {
+            // Other helpers may still be draining their blocks; the
+            // epoch may not be retired until every entry has moved.
+            let nblocks = ep.blocks();
+            let mut spins = 0u32;
+            while ep.done.load(Ordering::Acquire) < nblocks {
+                spin_wait(&mut spins);
+            }
+            self.advance_current();
+        });
+    }
+
+    /// One help visit to the retiring epoch `ep`: pass the writer gate,
+    /// claim up to `max_blocks` blocks into `next`, run `finish`, and
+    /// record the stall in `MigrationStallNanos`.
+    fn help(&self, ep: &Epoch<E, T>, next: &Epoch<E, T>, max_blocks: usize, finish: impl FnOnce()) {
         phc_obs::probe!(count MigrationHelps);
         let t0 = if phc_obs::Recorder::ENABLED {
             phc_obs::now_ns()
@@ -967,15 +959,8 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
             0
         };
         self.gate_writers(ep);
-        self.claim_blocks(ep, next, usize::MAX);
-        // Other helpers may still be draining their blocks; the epoch
-        // may not be retired until every entry has moved.
-        let nblocks = ep.blocks();
-        let mut spins = 0u32;
-        while ep.done.load(Ordering::Acquire) < nblocks {
-            spin_wait(&mut spins);
-        }
-        self.advance_current();
+        self.claim_blocks(ep, next, max_blocks);
+        finish();
         if phc_obs::Recorder::ENABLED {
             phc_obs::probe!(hist MigrationStallNanos, (phc_obs::now_ns() - t0) as usize);
         }
@@ -986,11 +971,10 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
     /// usual but **without** helping or claiming — migration
     /// re-inserts must not recurse into block draining (unbounded
     /// chains would overflow the stack; claims are owned by
-    /// `claim_blocks` callers). Fill credits for a window accumulate
-    /// locally and post with one `AcqRel` RMW per `WINDOW_CHUNK`
-    /// entries: a per-entry credit RMW would dominate the copy cost,
-    /// while an unbounded window would hold the core's insert window
-    /// open (and the threshold estimate stale) for a whole block.
+    /// `claim_blocks` callers). Windows are bounded to `WINDOW_CHUNK`
+    /// entries: an unbounded window would hold the core's insert
+    /// window open (and the threshold estimate stale) for a whole
+    /// block.
     ///
     /// Credits always land in the epoch the entries went into: if that
     /// epoch is itself retired later, its credits are discarded with
@@ -1007,45 +991,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> ResizableTable<E, T> {
             while let Some(n) = self.next_of(ep) {
                 ep = n;
             }
-            let cap = ep.table.capacity();
-            let start_items = ep.state.load(Ordering::Acquire) & ITEMS_MASK;
-            let mut fills = 0usize;
-            let mut publish = false;
-            let tok = ep.table.open_insert_window();
-            if !ep.next.load(Ordering::SeqCst).is_null() {
-                // Published between the tail walk and the window open;
-                // walk again from the new tail.
-                ep.table.close_insert_window(tok);
-                continue;
-            }
-            let window_end = (i + WINDOW_CHUNK).min(batch.len());
-            while i < window_end || carry.is_some() {
-                if Epoch::<E, T>::items_over_threshold(start_items + fills, cap) {
-                    publish = true;
-                    break;
-                }
-                let v = carry.unwrap_or_else(|| batch[i]);
-                match ep.table.try_insert_repr_in(v, tok) {
-                    Ok(filled) => {
-                        fills += filled as usize;
-                        if carry.take().is_none() {
-                            i += 1;
-                        }
-                    }
-                    Err(displaced) => {
-                        carry = Some(displaced);
-                        publish = true;
-                        break;
-                    }
-                }
-            }
-            ep.table.close_insert_window(tok);
-            if fills > 0 {
-                ep.state.fetch_add(fills, Ordering::AcqRel);
-            }
-            if publish && ep.next.load(Ordering::SeqCst).is_null() {
-                self.publish_successor(ep);
-            }
+            self.fill_window(ep, batch.len(), |j| batch[j], 0, &mut i, &mut carry);
         }
     }
 
@@ -1175,111 +1121,6 @@ impl<E: HashEntry, T: FlatTableCore<E>> PhaseHashTable<E> for ResizableTable<E, 
     }
 }
 
-/// The previous, stop-the-world growable table: inserts share a read
-/// lock; the thread that sees the threshold takes the write lock and
-/// rebuilds into a doubled table while every other inserter blocks.
-///
-/// Kept as the baseline arm of the `resize` benchmark ablation; new
-/// code should use [`ResizableTable`]. Generic over the same
-/// [`FlatTableCore`] as the cooperative resizer.
-pub struct StwResizableTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
-    inner: RwLock<T>,
-    items: AtomicUsize,
-    _entry: PhantomData<E>,
-}
-
-impl<E: HashEntry, T: FlatTableCore<E>> StwResizableTable<E, T> {
-    /// Creates a table with `2^log2_size` initial cells.
-    pub fn new_pow2(log2_size: u32) -> Self {
-        StwResizableTable {
-            inner: RwLock::new(T::new_pow2(log2_size)),
-            items: AtomicUsize::new(0),
-            _entry: PhantomData,
-        }
-    }
-
-    /// Current capacity (cells).
-    pub fn capacity(&self) -> usize {
-        self.inner.read().expect("table lock poisoned").capacity()
-    }
-
-    /// Number of stored entries (exact).
-    pub fn len(&self) -> usize {
-        self.items.load(Ordering::Acquire)
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Runs an insert phase and normalizes the capacity afterwards.
-    pub fn insert_phase<R>(&mut self, f: impl FnOnce(&Self) -> R) -> R {
-        let r = f(self);
-        while self.len() * MAX_LOAD_DEN >= self.capacity() * MAX_LOAD_NUM {
-            self.grow();
-        }
-        r
-    }
-
-    /// Inserts an entry, growing (stop-the-world) at the threshold.
-    pub fn insert(&self, e: E) {
-        loop {
-            let guard = self.inner.read().expect("table lock poisoned");
-            if self.items.load(Ordering::Acquire) * MAX_LOAD_DEN >= guard.capacity() * MAX_LOAD_NUM
-            {
-                drop(guard);
-                self.grow();
-                continue;
-            }
-            if guard.insert_counted(e) {
-                self.items.fetch_add(1, Ordering::AcqRel);
-            }
-            return;
-        }
-    }
-
-    /// Deletes by key.
-    pub fn delete(&self, key: E) {
-        let guard = self.inner.read().expect("table lock poisoned");
-        if guard.delete_counted(key) {
-            self.items.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Looks up a key.
-    pub fn find(&self, key: E) -> Option<E> {
-        self.inner.read().expect("table lock poisoned").find(key)
-    }
-
-    /// Packs the contents.
-    pub fn elements(&self) -> Vec<E> {
-        self.inner.read().expect("table lock poisoned").elements()
-    }
-
-    /// Raw snapshot of the current backing array.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.inner.read().expect("table lock poisoned").snapshot()
-    }
-
-    #[cold]
-    fn grow(&self) {
-        use rayon::prelude::*;
-        let mut w = self.inner.write().expect("table lock poisoned");
-        // Another thread may have grown while we waited.
-        if self.items.load(Ordering::Acquire) * MAX_LOAD_DEN < w.capacity() * MAX_LOAD_NUM {
-            return;
-        }
-        let log2 = w.capacity().trailing_zeros() + 1;
-        let bigger = T::new_pow2(log2);
-        let elems = w.elements();
-        elems.par_iter().with_min_len(1024).for_each(|&e| {
-            bigger.insert_counted(e);
-        });
-        *w = bigger;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1398,8 +1239,11 @@ mod tests {
 
     #[test]
     fn cooperative_matches_stop_the_world() {
-        // Same key set, same seed capacity: after normalization both
-        // growth strategies must land on the identical array.
+        // Same key set, same seed capacity: after normalization the
+        // cooperative resizer must land on the array a stop-the-world
+        // rebuild produces — by history independence, exactly the
+        // deterministic table built directly at the canonical final
+        // capacity (the smallest power of two with load < 3/4).
         let keys: Vec<u64> = (1..=2000).map(|i| phc_parutil::hash64(i) | 1).collect();
         let mut coop: ResizableTable<U64Key> = ResizableTable::new_pow2(4);
         coop.insert_phase(|t| {
@@ -1407,12 +1251,14 @@ mod tests {
                 t.insert(U64Key::new(k));
             }
         });
-        let mut stw: StwResizableTable<U64Key> = StwResizableTable::new_pow2(4);
-        stw.insert_phase(|t| {
-            for &k in &keys {
-                t.insert(U64Key::new(k));
-            }
-        });
+        let mut log2 = 4;
+        while keys.len() * MAX_LOAD_DEN >= (MAX_LOAD_NUM << log2) {
+            log2 += 1;
+        }
+        let stw: DetHashTable<U64Key> = DetHashTable::new_pow2(log2);
+        for &k in &keys {
+            stw.insert(U64Key::new(k));
+        }
         assert_eq!(coop.capacity(), stw.capacity());
         assert_eq!(coop.snapshot(), stw.snapshot());
     }

@@ -64,11 +64,14 @@
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 
+use crate::batch::ProbeCore;
 use crate::cell::{AtomOf, CellAtomic, CellWord};
 use crate::entry::HashEntry;
 use crate::phase::{
     ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
 };
+use crate::resize::FlatTableCore;
+use crate::simd::Kernel;
 
 /// Multiplicative inverse of an odd `c` modulo 2^64 (Newton iteration:
 /// each step doubles the number of correct low bits, starting from the
@@ -255,14 +258,6 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
         }
     }
 
-    /// Creates a table with at least `capacity / max_load` cells
-    /// (rounded up to a power of two).
-    pub fn with_capacity_for(n_items: usize, max_load: f64) -> Self {
-        assert!(max_load > 0.0 && max_load < 1.0);
-        let want = ((n_items as f64 / max_load).ceil() as usize).max(4);
-        Self::new_pow2(want.next_power_of_two().trailing_zeros())
-    }
-
     /// Number of cells.
     #[inline]
     pub fn capacity(&self) -> usize {
@@ -281,10 +276,7 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// guarantee. The mixer depends only on the entry type, never the
     /// history, so the transform does not weaken the check.
     pub fn snapshot(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .collect()
+        crate::batch::snapshot(&self.cells)
     }
 
     /// Mixes the key field of an original repr into its stored form.
@@ -330,33 +322,6 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
         ((!t & self.key_mask) >> self.home_shift) as usize
     }
 
-    #[inline]
-    fn load_at(&self, virtual_idx: usize) -> u64 {
-        self.cells[virtual_idx & self.mask].load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn cas_at(&self, virtual_idx: usize, old: u64, new: u64) -> bool {
-        self.cells[virtual_idx & self.mask]
-            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Forward distance from bucket `from` to bucket `to` (both already
-    /// reduced), in `[0, capacity)`.
-    #[inline]
-    fn dist(&self, from: usize, to: usize) -> usize {
-        (to.wrapping_sub(from)) & self.mask
-    }
-
-    /// The virtual home position of the transformed entry `t` observed
-    /// at virtual index `at` (cf. `DetHashTable::lift_hash`; exact
-    /// while the table is not full).
-    #[inline]
-    fn lift_home(&self, t: u64, at: usize) -> usize {
-        at - self.dist(self.slot(t), at & self.mask)
-    }
-
     /// Inserts an entry. Safe to call from any number of threads during
     /// an insert phase. Duplicate keys are resolved with
     /// [`HashEntry::combine`].
@@ -366,7 +331,7 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// Panics if the table is full (the probe wrapped all the way
     /// around).
     pub fn insert(&self, e: E) {
-        self.insert_repr(e.to_repr());
+        self.insert_counted(e);
     }
 
     /// Like [`insert`](Self::insert), but returns `true` iff the call
@@ -375,31 +340,11 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// `DetHashTable::insert_counted`. Used by the cooperative resizer
     /// for exact load accounting.
     pub fn insert_counted(&self, e: E) -> bool {
-        self.insert_repr(e.to_repr())
-    }
-
-    fn insert_repr(&self, v: u64) -> bool {
-        match self.try_insert_t(self.transform(v)) {
-            Ok(filled) => filled,
-            Err(_) => panic!(
-                "RobinHoodHashTable::insert: table is full (capacity {})",
-                self.cells.len()
-            ),
-        }
-    }
-
-    /// Fallible insert on an *original* repr: `Err(carried)` hands back
-    /// the (untransformed) repr still looking for a home once the probe
-    /// has wrapped the whole array. The cooperative resizer routes the
-    /// carry to the successor table; the mixer is capacity-independent,
-    /// so re-transforming there is exact.
-    pub(crate) fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        self.try_insert_t(self.transform(v))
-            .map_err(|t| self.untransform(t))
+        FlatTableCore::insert_counted(self, e)
     }
 
     /// Prioritized insert on a transformed repr. Identical control flow
-    /// to `DetHashTable::try_insert_repr`, with the priority order and
+    /// to `DetHashTable`'s scalar insert, with the priority order and
     /// key identity both read off the masked bits (the `SIMD_KEY_MASK`
     /// contract collapses `same_key` / `cmp_priority` to masked
     /// equality / unsigned masked compare; the mixer's bijectivity
@@ -407,9 +352,6 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// `robinhood_shifts`.
     fn try_insert_t(&self, mut v: u64) -> Result<bool, u64> {
         debug_assert_ne!(v & self.key_mask, 0);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            return self.try_insert_t_wide(v);
-        }
         let key_mask = self.key_mask;
         let fwd = self.forward_marker();
         let mut i = self.slot(v);
@@ -487,63 +429,23 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
 
     /// Wide-scan insert: one `scan_le` per window finds the first cell
     /// no richer than `v`, then the candidate is confirmed with the
-    /// exact per-cell atomic loop. The tier is resolved once here and a
-    /// concrete kernel bound inside a `#[target_feature]` body, as in
-    /// the deterministic table's insert fast path. The speculation is
+    /// exact per-cell atomic loop, with the kernel bound once per
+    /// operation or batch as in the deterministic table's insert fast
+    /// path. The speculation is
     /// sound for the same reason as there: masked cell values only
     /// *rise* during an insert phase, so "this lane outranks `v`" can
     /// never be invalidated, and a candidate that rose after the scan
     /// sampled it is a counted misspeculation that re-scans one cell
     /// further on.
-    fn try_insert_t_wide(&self, v: u64) -> Result<bool, u64> {
-        phc_obs::probe!(count SimdRedispatches);
-        let key_mask = self.key_mask;
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                // SAFETY: `tier()` reports Avx2 only when the CPU
-                // supports it.
-                crate::simd::SimdTier::Avx2 => unsafe { self.try_insert_wide_avx2(v, key_mask) },
-                _ => self.try_insert_wide_sse2(v, key_mask),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            self.try_insert_t_wide_with(v, key_mask, &|cells, start, end, thr| {
-                crate::simd::scan_le(cells, start, end, key_mask, thr)
-            })
-        }
-    }
-
-    /// AVX2 instantiation of the wide insert.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn try_insert_wide_avx2(&self, v: u64, key_mask: u64) -> Result<bool, u64> {
-        self.try_insert_t_wide_with(v, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation (baseline on x86_64; no feature gate needed).
-    #[cfg(target_arch = "x86_64")]
-    fn try_insert_wide_sse2(&self, v: u64, key_mask: u64) -> Result<bool, u64> {
-        self.try_insert_t_wide_with(v, key_mask, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The wide insert body, generic over the bound scan kernel (the
+    ///
+    /// The body is generic over the bound scan kernel (the
     /// Robin Hood analogue of
     /// `DetHashTable::try_insert_repr_wide_with`; the confirm loop is
     /// seeded with the value the scan observed, so no cell is re-loaded
     /// between scan and first CAS).
     #[inline(always)]
-    fn try_insert_t_wide_with(
-        &self,
-        mut v: u64,
-        key_mask: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Result<bool, u64> {
+    fn try_insert_t_wide_with<K: Kernel>(&self, mut v: u64, k: K) -> Result<bool, u64> {
+        let key_mask = self.key_mask;
         let n = self.cells.len();
         let fwd = self.forward_marker();
         let mut i = self.slot(v);
@@ -562,14 +464,7 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
                 lanes_total += 1;
                 (i, peek)
             } else {
-                let (hit, lanes) = scan(&self.cells, i, n, thr);
-                let (hit, lanes) = match hit {
-                    Some(_) => (hit, lanes),
-                    None => {
-                        let (wrapped, more) = scan(&self.cells, 0, i, thr);
-                        (wrapped, lanes + more)
-                    }
-                };
+                let (hit, lanes) = k.scan_le_wrapping(&self.cells, i, key_mask, thr);
                 lanes_total += lanes;
                 match hit {
                     Some(h) => h,
@@ -662,103 +557,14 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// Semantically identical to inserting the entries one by one — and
     /// by history independence, to *any* insertion of the same set.
     pub fn insert_batch(&self, entries: &[E]) {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        let n = entries.len();
-        if n == 0 {
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    // SAFETY: `tier()` reports Avx2 only when the CPU
-                    // supports it.
-                    unsafe { self.insert_batch_avx2(entries) };
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return;
-                }
-                crate::simd::SimdTier::Sse2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    self.insert_batch_sse2(entries);
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return;
-                }
-                crate::simd::SimdTier::Scalar => {}
-            }
-        }
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(self.transform(e.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(self.transform(next.to_repr())));
-            }
-            self.insert_repr(entries[i].to_repr());
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-    }
-
-    /// AVX2 instantiation of the batched wide insert.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn insert_batch_avx2(&self, entries: &[E]) {
-        let key_mask = self.key_mask;
-        self.insert_batch_wide_body(entries, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// SSE2 instantiation of the batched wide insert.
-    #[cfg(target_arch = "x86_64")]
-    fn insert_batch_sse2(&self, entries: &[E]) {
-        let key_mask = self.key_mask;
-        self.insert_batch_wide_body(entries, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// The prefetching insert loop shared by the per-tier batch entry
-    /// points. Uses the gated insert prefetch distance (shallow when
-    /// more than one pool worker is active; see [`crate::batch`]).
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn insert_batch_wide_body(
-        &self,
-        entries: &[E],
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) {
-        use crate::batch::{insert_prefetch_ahead, prefetch_slot};
-        let ahead = insert_prefetch_ahead();
-        for e in entries.iter().take(ahead) {
-            prefetch_slot(&self.cells, self.slot(self.transform(e.to_repr())));
-        }
-        for i in 0..entries.len() {
-            if let Some(next) = entries.get(i + ahead) {
-                prefetch_slot(&self.cells, self.slot(self.transform(next.to_repr())));
-            }
-            let t = self.transform(entries[i].to_repr());
-            if self.try_insert_t_wide_with(t, self.key_mask, scan).is_err() {
-                panic!(
-                    "RobinHoodHashTable::insert: table is full (capacity {})",
-                    self.cells.len()
-                );
-            }
-        }
+        crate::batch::insert_batch(self, entries)
     }
 
     /// Inserts a slice in parallel through the batched prefetching
     /// path. The final layout equals that of any other insertion of the
     /// same set.
     pub fn par_insert_batched(&self, entries: &[E]) {
-        use rayon::prelude::*;
-        entries
-            .par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.insert_batch(chunk));
+        crate::batch::par_chunked(entries, |c| self.insert_batch(c))
     }
 
     /// Reconstructs an original repr from a probe repr and the stored
@@ -775,126 +581,25 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// Looks up the entry with `key`'s key part. Safe to call
     /// concurrently with other finds and `elements`.
     pub fn find(&self, key: E) -> Option<E> {
-        let r = key.to_repr();
-        self.find_t(self.transform(r))
-            .map(|c| E::from_repr(self.recover(r, c)))
-    }
-
-    /// Prefetches `v`'s home-slot cache line (see [`crate::batch`])
-    /// for external batch loops (the growable wrapper's
-    /// threshold-counting insert).
-    #[inline]
-    pub(crate) fn prefetch_repr(&self, v: u64) {
-        crate::batch::prefetch_slot(&self.cells, self.slot(self.transform(v)));
+        FlatTableCore::find(self, key)
     }
 
     /// Looks up a batch of keys with software prefetching and
     /// batch-level tier dispatch, returning results in key order:
     /// `out[i] == self.find(keys[i])`.
     pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let n = keys.len();
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return out;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                crate::simd::SimdTier::Avx2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    // SAFETY: `tier()` reports Avx2 only when the CPU
-                    // supports it.
-                    unsafe { self.find_batch_avx2(keys, &mut out) };
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return out;
-                }
-                crate::simd::SimdTier::Sse2 => {
-                    phc_obs::probe!(count SimdRedispatches);
-                    self.find_batch_sse2(keys, &mut out);
-                    phc_obs::probe!(count PrefetchBatches);
-                    phc_obs::probe!(hist BatchSize, n);
-                    return out;
-                }
-                crate::simd::SimdTier::Scalar => {}
-            }
-        }
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(self.transform(k.to_repr())));
-        }
-        for i in 0..n {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(self.transform(next.to_repr())));
-            }
-            out.push(self.find(keys[i]));
-        }
-        phc_obs::probe!(count PrefetchBatches);
-        phc_obs::probe!(hist BatchSize, n);
-        out
-    }
-
-    /// AVX2 instantiation of the batched wide find.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_batch_avx2(&self, keys: &[E], out: &mut Vec<Option<E>>) {
-        let key_mask = self.key_mask;
-        self.find_batch_wide_body(keys, out, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// SSE2 instantiation of the batched wide find.
-    #[cfg(target_arch = "x86_64")]
-    fn find_batch_sse2(&self, keys: &[E], out: &mut Vec<Option<E>>) {
-        let key_mask = self.key_mask;
-        self.find_batch_wide_body(keys, out, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        });
-    }
-
-    /// The prefetching lookup loop shared by the per-tier batch entry
-    /// points, generic over the bound scan kernel.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    fn find_batch_wide_body(
-        &self,
-        keys: &[E],
-        out: &mut Vec<Option<E>>,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&self.cells, self.slot(self.transform(k.to_repr())));
-        }
-        for i in 0..keys.len() {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&self.cells, self.slot(self.transform(next.to_repr())));
-            }
-            let r = keys[i].to_repr();
-            let t = self.transform(r);
-            out.push(
-                self.find_t_wide_with(t, scan)
-                    .map(|hit| E::from_repr(self.recover(r, hit))),
-            );
-        }
+        crate::batch::find_batch(self, keys)
     }
 
     /// Parallel batched lookup: results in key order.
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .flat_map_iter(|chunk| self.find_batch(chunk))
-            .collect()
+        crate::batch::par_chunked_map(keys, |c| self.find_batch(c))
     }
 
     /// Lookup on a transformed repr, returning the stored (transformed)
     /// cell value.
     fn find_t(&self, t: u64) -> Option<u64> {
         debug_assert_ne!(t & self.key_mask, 0);
-        if crate::simd::tier() != crate::simd::SimdTier::Scalar {
-            return self.find_t_wide(t);
-        }
         let key_mask = self.key_mask;
         let fwd = self.forward_marker();
         let thr = t & key_mask;
@@ -934,65 +639,17 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// unsigned masked compare, so the first `scan_le` hit is either
     /// the key (equal) or proof of absence (empty or poorer). Read
     /// phases are quiescent, so the wide loads race with nothing.
-    fn find_t_wide(&self, t: u64) -> Option<u64> {
-        phc_obs::probe!(count SimdRedispatches);
-        #[cfg(target_arch = "x86_64")]
-        {
-            match crate::simd::tier() {
-                // SAFETY: `tier()` reports Avx2 only when the CPU
-                // supports it.
-                crate::simd::SimdTier::Avx2 => unsafe { self.find_wide_avx2(t) },
-                _ => self.find_wide_sse2(t),
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let key_mask = self.key_mask;
-            self.find_t_wide_with(t, &|cells, start, end, thr| {
-                crate::simd::scan_le(cells, start, end, key_mask, thr)
-            })
-        }
-    }
-
-    /// AVX2 instantiation of the single-key wide find.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn find_wide_avx2(&self, t: u64) -> Option<u64> {
-        let key_mask = self.key_mask;
-        self.find_t_wide_with(t, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_avx2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// SSE2 instantiation of the single-key wide find.
-    #[cfg(target_arch = "x86_64")]
-    fn find_wide_sse2(&self, t: u64) -> Option<u64> {
-        let key_mask = self.key_mask;
-        self.find_t_wide_with(t, &|cells, start, end, thr| unsafe {
-            crate::simd::scan_le_sse2_w(cells, start, end, key_mask, thr)
-        })
-    }
-
-    /// The wide find body, generic over the bound scan kernel. The hit
+    ///
+    /// The body is generic over the bound scan kernel. The hit
     /// value comes from the kernel's already-loaded window (read phases
     /// are quiescent, so it equals what a re-load would return).
     #[inline(always)]
-    fn find_t_wide_with(
-        &self,
-        t: u64,
-        scan: &impl Fn(&[AtomOf<E::Repr>], usize, usize, u64) -> crate::simd::ScanHit,
-    ) -> Option<u64> {
+    fn find_t_wide_with<K: Kernel>(&self, t: u64, k: K) -> Option<u64> {
         let n = self.cells.len();
         let home = self.slot(t);
-        let thr = t & self.key_mask;
-        let (hit, lanes) = scan(&self.cells, home, n, thr);
-        let (hit, lanes) = match hit {
-            Some(_) => (hit, lanes),
-            None => {
-                let (wrapped, more) = scan(&self.cells, 0, home, thr);
-                (wrapped, lanes + more)
-            }
-        };
+        let key_mask = self.key_mask;
+        let thr = t & key_mask;
+        let (hit, lanes) = k.scan_le_wrapping(&self.cells, home, key_mask, thr);
         phc_obs::probe!(count SimdLanesScanned, lanes);
         phc_obs::probe!(hist SimdLanesPerProbe, lanes);
         match hit {
@@ -1110,58 +767,14 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// location — `DetHashTable::find_replacement` with the Robin Hood
     /// home rule.
     fn find_replacement(&self, i: usize) -> (usize, u64) {
-        let n = self.cells.len();
-        let fwd = self.forward_marker();
-        let mut buf = [0u64; crate::simd::MAX_WINDOW];
-        let mut next = i + 1;
-        // Scan up past entries that home strictly after `i` (those may
-        // not move back); wide-window loads, per-lane predicate.
-        let (mut j, mut v) = 'up: loop {
-            let real = next & self.mask;
-            let k = crate::simd::load_window(
-                &self.cells,
-                real,
-                n.min(real + crate::simd::MAX_WINDOW),
-                &mut buf,
-            );
-            phc_obs::probe!(count SimdLanesScanned, k);
-            for (lane, &val) in buf[..k].iter().enumerate() {
-                let jj = next + lane;
-                // `lift_home` on the forwarding marker is garbage; a
-                // forwarded cell may neither fill the hole nor prove
-                // one can't exist, so it is skipped like a stayer.
-                if val == E::EMPTY || (val != fwd && self.lift_home(val, jj) <= i) {
-                    break 'up (jj, val);
-                }
-            }
-            next += k;
-        };
-        // The candidate may have been shifted down by a concurrent
-        // delete while we scanned; walk back down to its current
-        // position.
-        let mut k = j - 1;
-        while k > i {
-            let vp = self.load_at(k);
-            if vp == E::EMPTY || (vp != fwd && self.lift_home(vp, k) <= i) {
-                v = vp;
-                j = k;
-            }
-            k -= 1;
-        }
-        (j, v)
+        crate::batch::find_replacement(self, i)
     }
 
     /// Packs the stored entries into a vector in cell order via the
     /// parallel mask-based pack — deterministic output. Entries are
     /// un-mixed on the way out, so callers see original reprs.
     pub fn elements(&self) -> Vec<E> {
-        let packed = phc_parutil::pack_with_mask(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(self.untransform(c.load(Ordering::Acquire))),
-        );
-        phc_obs::probe!(hist PackSize, packed.len());
-        packed
+        crate::batch::elements(self)
     }
 
     /// Like [`elements`](Self::elements), packing into a caller-owned
@@ -1169,14 +782,7 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// readers reuse one allocation across calls. Entries are un-mixed
     /// on the way out.
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        let base = out.len();
-        phc_parutil::pack_with_mask_into(
-            &self.cells,
-            |win| crate::simd::scan_nonempty_mask(win, E::EMPTY),
-            |c| E::from_repr(self.untransform(c.load(Ordering::Acquire))),
-            out,
-        );
-        phc_obs::probe!(hist PackSize, out.len() - base);
+        crate::batch::elements_into(self, out)
     }
 
     /// Applies `f` to every entry stored in the cell range (clamped to
@@ -1184,21 +790,8 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// primitive of the cooperative resizer. The caller must guarantee
     /// no concurrent mutation of the scanned cells. Entries are
     /// un-mixed before `f` sees them.
-    pub fn for_each_in_range(&self, range: std::ops::Range<usize>, mut f: impl FnMut(E)) {
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        let mut base = start;
-        for win in self.cells[start..end].chunks(64) {
-            let mut bits = crate::simd::scan_nonempty_mask(win, E::EMPTY);
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(E::from_repr(self.untransform(
-                    self.cells[base + j].load(Ordering::Acquire),
-                )));
-            }
-            base += win.len();
-        }
+    pub fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
+        crate::batch::for_each_in_range(self, range, f)
     }
 
     /// Atomically claims every cell in the range for migration: each
@@ -1210,16 +803,7 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// here because every Robin Hood displacement step is a single-
     /// cell CAS against a concretely observed old value.
     pub fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        let marker = self.forward_marker();
-        let end = range.end.min(self.cells.len());
-        let start = range.start.min(end);
-        for cell in &self.cells[start..end] {
-            let prev = cell.swap(marker, Ordering::AcqRel);
-            debug_assert_ne!(prev, marker, "migration block claimed twice");
-            if prev != E::EMPTY {
-                out.push(self.untransform(prev));
-            }
-        }
+        crate::batch::claim_range_forward(self, range, out)
     }
 
     /// Applies `f` to every stored entry, in parallel, without
@@ -1227,13 +811,7 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// use [`elements`](Self::elements) when a deterministic sequence
     /// matters.
     pub fn for_each_entry(&self, f: impl Fn(E) + Send + Sync) {
-        use rayon::prelude::*;
-        self.cells.par_iter().with_min_len(4096).for_each(|c| {
-            let v = c.load(Ordering::Acquire);
-            if v != E::EMPTY {
-                f(E::from_repr(self.untransform(v)));
-            }
-        });
+        crate::batch::for_each_entry(self, f)
     }
 
     /// Number of occupied cells.
@@ -1248,11 +826,7 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
 
     /// Removes every entry (parallel).
     pub fn clear(&mut self) {
-        use rayon::prelude::*;
-        self.cells
-            .par_iter()
-            .with_min_len(4096)
-            .for_each(|c| c.store(E::EMPTY, Ordering::Relaxed));
+        crate::batch::clear(&self.cells, E::EMPTY)
     }
 
     /// Displacement distribution of a quiescent snapshot under the
@@ -1285,6 +859,63 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
             }
         }
         stats
+    }
+}
+
+impl<E: HashEntry> ProbeCore for RobinHoodHashTable<E> {
+    type Entry = E;
+    type Fill = bool;
+    const TYPE_NAME: &'static str = "RobinHoodHashTable";
+    // Construction proves the key mask exists.
+    const WIDE: bool = true;
+
+    #[inline]
+    fn cells(&self) -> &[AtomOf<E::Repr>] {
+        &self.cells
+    }
+    #[inline]
+    fn home(&self, v: u64) -> usize {
+        self.slot(self.transform(v))
+    }
+    #[inline]
+    fn insert_scalar(&self, v: u64, _tok: u64) -> Result<bool, u64> {
+        self.try_insert_t(self.transform(v))
+            .map_err(|t| self.untransform(t))
+    }
+    #[inline(always)]
+    fn insert_wide<K: Kernel>(&self, v: u64, _tok: u64, k: K) -> Result<bool, u64> {
+        self.try_insert_t_wide_with(self.transform(v), k)
+            .map_err(|t| self.untransform(t))
+    }
+    #[inline]
+    fn find_scalar(&self, v: u64) -> Option<u64> {
+        self.find_t(self.transform(v)).map(|c| self.recover(v, c))
+    }
+    #[inline(always)]
+    fn find_wide<K: Kernel>(&self, v: u64, k: K) -> Option<u64> {
+        self.find_t_wide_with(self.transform(v), k)
+            .map(|c| self.recover(v, c))
+    }
+    #[inline]
+    fn delete(&self, v: u64, _tok: u64) -> bool {
+        self.delete_t(self.transform(v))
+    }
+    #[inline]
+    fn filled(fill: bool) -> bool {
+        fill
+    }
+    #[inline]
+    fn unstore(&self, c: u64) -> u64 {
+        self.untransform(c)
+    }
+    #[inline]
+    fn stored_forward(&self) -> u64 {
+        self.forward_marker()
+    }
+    // The home rule reads the stored (mixed) value directly.
+    #[inline]
+    fn lift_home(&self, t: u64, at: usize) -> usize {
+        at - self.dist(self.slot(t), at & self.mask)
     }
 }
 
@@ -1332,23 +963,11 @@ impl<E: HashEntry> ConcurrentDelete<E> for RobinHoodDeleter<'_, E> {
 impl<E: HashEntry> RobinHoodDeleter<'_, E> {
     /// Batched prefetching delete.
     pub fn delete_batch(&self, keys: &[E]) {
-        use crate::batch::{prefetch_slot, PREFETCH_AHEAD};
-        let t = self.0;
-        for k in keys.iter().take(PREFETCH_AHEAD) {
-            prefetch_slot(&t.cells, t.slot(t.transform(k.to_repr())));
-        }
-        for i in 0..keys.len() {
-            if let Some(next) = keys.get(i + PREFETCH_AHEAD) {
-                prefetch_slot(&t.cells, t.slot(t.transform(next.to_repr())));
-            }
-            t.delete(keys[i]);
-        }
+        crate::batch::delete_batch(self.0, keys)
     }
     /// Parallel batched delete.
     pub fn par_delete_batched(&self, keys: &[E]) {
-        use rayon::prelude::*;
-        keys.par_chunks(phc_parutil::grain())
-            .for_each(|chunk| self.delete_batch(chunk));
+        crate::batch::par_chunked(keys, |c| self.delete_batch(c))
     }
 }
 impl<E: HashEntry> ConcurrentRead<E> for RobinHoodReader<'_, E> {
@@ -1419,45 +1038,6 @@ impl<E: HashEntry> crate::resize::FlatTableCore<E> for RobinHoodHashTable<E> {
 
     fn new_pow2(log2_size: u32) -> Self {
         RobinHoodHashTable::new_pow2(log2_size)
-    }
-    fn capacity(&self) -> usize {
-        RobinHoodHashTable::capacity(self)
-    }
-    fn insert_counted(&self, e: E) -> bool {
-        RobinHoodHashTable::insert_counted(self, e)
-    }
-    fn try_insert_repr(&self, v: u64) -> Result<bool, u64> {
-        RobinHoodHashTable::try_insert_repr(self, v)
-    }
-    fn delete_counted(&self, key: E) -> bool {
-        RobinHoodHashTable::delete_counted(self, key)
-    }
-    fn find(&self, key: E) -> Option<E> {
-        RobinHoodHashTable::find(self, key)
-    }
-    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        RobinHoodHashTable::find_batch(self, keys)
-    }
-    fn prefetch_repr(&self, v: u64) {
-        RobinHoodHashTable::prefetch_repr(self, v)
-    }
-    fn elements(&self) -> Vec<E> {
-        RobinHoodHashTable::elements(self)
-    }
-    fn elements_into(&self, out: &mut Vec<E>) {
-        RobinHoodHashTable::elements_into(self, out)
-    }
-    fn snapshot(&self) -> Vec<u64> {
-        RobinHoodHashTable::snapshot(self)
-    }
-    fn raw_cells(&self) -> &[AtomOf<E::Repr>] {
-        RobinHoodHashTable::raw_cells(self)
-    }
-    fn for_each_in_range(&self, range: std::ops::Range<usize>, f: impl FnMut(E)) {
-        RobinHoodHashTable::for_each_in_range(self, range, f)
-    }
-    fn claim_range_forward(&self, range: std::ops::Range<usize>, out: &mut Vec<u64>) {
-        RobinHoodHashTable::claim_range_forward(self, range, out)
     }
 }
 

@@ -12,13 +12,19 @@
 //! leaves. Within any room the operations commute, so the table state
 //! remains deterministic *per room occupancy*; unlike the statically
 //! phased API, the room schedule itself depends on timing, so
-//! [`AutoPhaseTable`] trades the end-to-end determinism guarantee for
-//! drop-in convenience (exactly the trade-off the paper describes).
+//! [`AutoPhaseGrowTable`] trades the end-to-end determinism guarantee
+//! for drop-in convenience (exactly the trade-off the paper describes).
 //!
 //! The implementation is a compact ticket-free room synchronizer: one
 //! word packs the active room and its occupancy count; entry CASes the
 //! count up if the room matches or the table is idle, otherwise spins
 //! (with exponential backoff parking) until the room drains.
+//!
+//! [`AutoPhaseGrowTable`] is the one wrapper, generic over the flat
+//! core. Whether its calls enter a room is a property of the core
+//! ([`FlatTableCore::NEEDS_ROOMS`]): the fully-concurrent
+//! [`FcHashTable`] needs none, so [`FcAutoGrowTable`] — the same
+//! wrapper over the fc core — never touches its synchronizer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -161,98 +167,50 @@ impl RoomSync {
     }
 }
 
-/// A deterministic hash table with automatic phase separation: any
-/// thread may call any operation at any time; the room synchronizer
-/// serializes *operation types*, not operations.
+/// A growable deterministic hash table with automatic phase
+/// separation: any thread may call any operation at any time; the room
+/// synchronizer serializes *operation types*, not operations.
 ///
 /// Note the weaker guarantee versus the phased API: the table layout
 /// is always a valid history-independent layout of its contents, but
 /// *which* inserts land before which deletes depends on the room
 /// schedule (timing). Use the phased API when you need end-to-end
 /// determinism; use this when you need drop-in concurrency.
-/// Generic over the fixed-capacity core `T` (default: the
-/// deterministic linear-probing table); `AutoPhaseTable<E,
-/// RobinHoodHashTable<E>>` is the room-synchronized Robin Hood table.
-pub struct AutoPhaseTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
-    table: T,
-    rooms: RoomSync,
-    _entry: std::marker::PhantomData<E>,
-}
-
-impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseTable<E, T> {
-    /// Creates a table with `2^log2_size` cells.
-    pub fn new_pow2(log2_size: u32) -> Self {
-        AutoPhaseTable {
-            table: T::new_pow2(log2_size),
-            rooms: RoomSync::new(),
-            _entry: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of cells.
-    pub fn capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
-    /// Inserts an entry (enters the insert room).
-    pub fn insert(&self, e: E) {
-        self.rooms.with(Room::Insert, || {
-            self.table.insert_counted(e);
-        });
-    }
-
-    /// Deletes by key (enters the delete room).
-    pub fn delete(&self, key: E) {
-        self.rooms.with(Room::Delete, || {
-            self.table.delete_counted(key);
-        });
-    }
-
-    /// Looks up a key (enters the read room).
-    pub fn find(&self, key: E) -> Option<E> {
-        self.rooms.with(Room::Read, || self.table.find(key))
-    }
-
-    /// Packs the contents (enters the read room).
-    pub fn elements(&self) -> Vec<E> {
-        self.rooms.with(Room::Read, || self.table.elements())
-    }
-
-    /// Packs the contents into a caller-supplied buffer (enters the
-    /// read room; appends without allocating a fresh `Vec`).
-    pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.rooms
-            .with(Room::Read, || self.table.elements_into(out));
-    }
-
-    /// Grants direct phased access when the caller has `&mut`
-    /// (no synchronization needed — the borrow is exclusive).
-    pub fn raw_mut(&mut self) -> &mut T {
-        &mut self.table
-    }
-}
-
-/// [`AutoPhaseTable`]'s growable sibling: room synchronization over a
-/// [`ResizableTable`].
 ///
-/// Freeze-free migration composes with room synchronization even more
-/// directly than the freeze-era scheme did: a room switch needs **no
-/// migration quiescence at all**. Migration work is per-cell claim
-/// swaps plus re-inserts with the ordinary insert primitive, both safe
-/// under the forwarding invariant against anything the insert room
-/// runs, so inside the insert room a pending migration is just more
-/// concurrent insert work, paid in bounded quotas by whichever
-/// operations happen to pass by. The delete and read rooms still
-/// observe fully migrated tables — not because the room grant waits,
-/// but because every `ResizableTable` delete registers behind a full
-/// drain and every read accessor quiesces before touching the
-/// contents. No extra "resize room" is needed, and a room hand-off
-/// never inherits a table-sized stall from a migration that happened
-/// to be in flight.
+/// Generic over the flat core `T` (default: the deterministic
+/// linear-probing table); `AutoPhaseGrowTable<E, RobinHoodHashTable<E>>`
+/// is the room-synchronized Robin Hood table. Over a core whose
+/// [`NEEDS_ROOMS`](FlatTableCore::NEEDS_ROOMS) is false (the fc core,
+/// see [`FcAutoGrowTable`]) every call goes straight to the table:
+/// overlap detection and online repair replace the synchronizer.
+///
+/// Freeze-free migration composes with room synchronization
+/// directly: a room switch needs **no migration quiescence at all**.
+/// Migration work is per-cell claim swaps plus re-inserts with the
+/// ordinary insert primitive, both safe under the forwarding invariant
+/// against anything the insert room runs, so inside the insert room a
+/// pending migration is just more concurrent insert work, paid in
+/// bounded quotas by whichever operations happen to pass by. The
+/// delete and read rooms still observe fully migrated tables — not
+/// because the room grant waits, but because every `ResizableTable`
+/// delete registers behind a full drain and every read accessor
+/// quiesces before touching the contents. No extra "resize room" is
+/// needed, and a room hand-off never inherits a table-sized stall from
+/// a migration that happened to be in flight.
 pub struct AutoPhaseGrowTable<E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>> {
     table: ResizableTable<E, T>,
     rooms: RoomSync,
 }
+
+/// The fc migration path: [`AutoPhaseGrowTable`] over
+/// `ResizableTable<E, FcHashTable<E>>`, with no room synchronization
+/// (every room switch becomes a no-op because there are no rooms). The
+/// resize layer registers every writer (inserts *and* deletes) in the
+/// epoch's active count, so cooperative migration composes with
+/// fully-concurrent mutation the same way it composes with
+/// room-serialized phases. A lookup racing an in-flight displacement
+/// of its key may transiently miss (see [`crate::fc`]).
+pub type FcAutoGrowTable<E> = AutoPhaseGrowTable<E, FcHashTable<E>>;
 
 impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
     /// Creates a table seeded with `2^log2_size` cells; it grows as
@@ -264,40 +222,50 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
         }
     }
 
+    /// Runs `f` inside `room` — or directly, over a core that needs no
+    /// rooms (a constant branch).
+    #[inline]
+    fn room<R>(&self, room: Room, f: impl FnOnce() -> R) -> R {
+        if T::NEEDS_ROOMS {
+            self.rooms.with(room, f)
+        } else {
+            f()
+        }
+    }
+
     /// Current number of cells. Grows under insert load and shrinks
     /// back toward the seed capacity when deletes empty the table out
     /// (see the shrinking notes in [`crate::resize`]).
     pub fn capacity(&self) -> usize {
-        self.rooms.with(Room::Read, || self.table.capacity())
+        self.room(Room::Read, || self.table.capacity())
     }
 
     /// Inserts an entry (enters the insert room; may publish a
     /// successor epoch or pay a bounded migration help quota, never a
     /// table-sized stall).
     pub fn insert(&self, e: E) {
-        self.rooms.with(Room::Insert, || self.table.insert(e));
+        self.room(Room::Insert, || self.table.insert(e));
     }
 
     /// Deletes by key (enters the delete room).
     pub fn delete(&self, key: E) {
-        self.rooms.with(Room::Delete, || self.table.delete(key));
+        self.room(Room::Delete, || self.table.delete(key));
     }
 
     /// Looks up a key (enters the read room).
     pub fn find(&self, key: E) -> Option<E> {
-        self.rooms.with(Room::Read, || self.table.find(key))
+        self.room(Room::Read, || self.table.find(key))
     }
 
     /// Packs the contents (enters the read room).
     pub fn elements(&self) -> Vec<E> {
-        self.rooms.with(Room::Read, || self.table.elements())
+        self.room(Room::Read, || self.table.elements())
     }
 
     /// Packs the contents into a caller-supplied buffer (enters the
     /// read room; appends without allocating a fresh `Vec`).
     pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.rooms
-            .with(Room::Read, || self.table.elements_into(out));
+        self.room(Room::Read, || self.table.elements_into(out));
     }
 
     /// Batched parallel insert: enters the insert room **once** for the
@@ -318,7 +286,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
     /// inside the room until the parallel call completes, so every
     /// worker access is ordered before the room exit.
     pub fn par_insert_batched(&self, entries: &[E]) {
-        self.rooms.with(Room::Insert, || {
+        self.room(Room::Insert, || {
             self.table.par_insert_batched(entries);
             self.table.normalize();
         });
@@ -331,7 +299,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
     /// [`par_insert_batched`](Self::par_insert_batched)'s determinism
     /// cut.
     pub fn par_delete_batched(&self, keys: &[E]) {
-        self.rooms.with(Room::Delete, || {
+        self.room(Room::Delete, || {
             self.table.par_delete_batched(keys);
             self.table.normalize();
         });
@@ -340,8 +308,7 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
     /// Batched parallel lookup: one read-room entry for the batch;
     /// results are in key order.
     pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.rooms
-            .with(Room::Read, || self.table.par_find_batched(keys))
+        self.room(Room::Read, || self.table.par_find_batched(keys))
     }
 
     /// Drains any pending migration to completion and grows to the
@@ -352,14 +319,14 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
     /// after a burst of per-op [`insert`](Self::insert)s when you need
     /// the snapshot-determinism guarantee the batched path provides.
     pub fn normalize(&self) {
-        self.rooms.with(Room::Insert, || self.table.normalize());
+        self.room(Room::Insert, || self.table.normalize());
     }
 
     /// Number of stored entries (enters the read room; exact because
     /// the read path itself drains any pending migration before
     /// counting — the room grant no longer needs to).
     pub fn len(&self) -> usize {
-        self.rooms.with(Room::Read, || self.table.len())
+        self.room(Room::Read, || self.table.len())
     }
 
     /// Whether the table is empty.
@@ -369,166 +336,12 @@ impl<E: HashEntry, T: FlatTableCore<E>> AutoPhaseGrowTable<E, T> {
 
     /// Raw snapshot of the live backing array (enters the read room).
     pub fn snapshot(&self) -> Vec<u64> {
-        self.rooms.with(Room::Read, || self.table.snapshot())
+        self.room(Room::Read, || self.table.snapshot())
     }
 
     /// Grants direct phased access when the caller has `&mut`
     /// (no synchronization needed — the borrow is exclusive).
     pub fn raw_mut(&mut self) -> &mut ResizableTable<E, T> {
-        &mut self.table
-    }
-}
-
-/// The fc migration path for [`AutoPhaseTable`]: the same drop-in API,
-/// served by the fully-concurrent table ([`FcHashTable`]) — every room
-/// switch becomes a no-op because there are no rooms. Operations go
-/// straight to the table; overlap detection and online repair replace
-/// the synchronizer (see [`crate::fc`]).
-pub struct FcAutoTable<E: HashEntry> {
-    table: FcHashTable<E>,
-}
-
-impl<E: HashEntry> FcAutoTable<E> {
-    /// Creates a table with `2^log2_size` cells.
-    pub fn new_pow2(log2_size: u32) -> Self {
-        FcAutoTable {
-            table: FcHashTable::new_pow2(log2_size),
-        }
-    }
-
-    /// Number of cells.
-    pub fn capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
-    /// Inserts an entry (no room entry — fully concurrent).
-    pub fn insert(&self, e: E) {
-        self.table.insert(e);
-    }
-
-    /// Deletes by key (no room entry).
-    pub fn delete(&self, key: E) {
-        self.table.delete(key);
-    }
-
-    /// Looks up a key (no room entry; a lookup racing an in-flight
-    /// displacement of its key may transiently miss — see
-    /// [`crate::fc`]).
-    pub fn find(&self, key: E) -> Option<E> {
-        self.table.find(key)
-    }
-
-    /// Packs the contents (deterministic at quiescence).
-    pub fn elements(&self) -> Vec<E> {
-        self.table.elements()
-    }
-
-    /// Packs the contents into a caller-supplied buffer (appends).
-    pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.table.elements_into(out)
-    }
-
-    /// Direct access to the fc table.
-    pub fn raw_mut(&mut self) -> &mut FcHashTable<E> {
-        &mut self.table
-    }
-}
-
-/// The fc migration path for [`AutoPhaseGrowTable`]: the growable
-/// drop-in API without a room synchronizer, over
-/// `ResizableTable<E, FcHashTable<E>>`. The resize layer registers
-/// every writer (inserts *and* deletes) in the epoch's active count, so
-/// cooperative migration composes with fully-concurrent mutation the
-/// same way it composed with room-serialized phases.
-pub struct FcAutoGrowTable<E: HashEntry> {
-    table: ResizableTable<E, FcHashTable<E>>,
-}
-
-impl<E: HashEntry> FcAutoGrowTable<E> {
-    /// Creates a table seeded with `2^log2_size` cells; it grows as
-    /// needed.
-    pub fn new_pow2(log2_size: u32) -> Self {
-        FcAutoGrowTable {
-            table: ResizableTable::new_pow2(log2_size),
-        }
-    }
-
-    /// Current number of cells. Grows under insert load and shrinks
-    /// back toward the seed capacity when deletes empty the table out
-    /// (see the shrinking notes in [`crate::resize`]).
-    pub fn capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
-    /// Inserts an entry (may trigger or join a cooperative migration).
-    pub fn insert(&self, e: E) {
-        self.table.insert(e);
-    }
-
-    /// Deletes by key.
-    pub fn delete(&self, key: E) {
-        self.table.delete(key);
-    }
-
-    /// Looks up a key (transient misses possible under concurrent
-    /// displacement, as for [`FcAutoTable::find`]).
-    pub fn find(&self, key: E) -> Option<E> {
-        self.table.find(key)
-    }
-
-    /// Packs the contents (deterministic at quiescence).
-    pub fn elements(&self) -> Vec<E> {
-        self.table.elements()
-    }
-
-    /// Packs the contents into a caller-supplied buffer (appends).
-    pub fn elements_into(&self, out: &mut Vec<E>) {
-        self.table.elements_into(out)
-    }
-
-    /// Batched parallel insert; normalizes the capacity afterwards so
-    /// batch boundaries stay deterministic cuts, exactly as
-    /// [`AutoPhaseGrowTable::par_insert_batched`] does — minus the room
-    /// entry.
-    pub fn par_insert_batched(&self, entries: &[E]) {
-        self.table.par_insert_batched(entries);
-        self.table.normalize();
-    }
-
-    /// Batched parallel delete; normalizes afterwards so batch
-    /// boundaries land on the canonical (possibly shrunk) capacity.
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        self.table.par_delete_batched(keys);
-        self.table.normalize();
-    }
-
-    /// Batched parallel lookup; results are in key order.
-    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.table.par_find_batched(keys)
-    }
-
-    /// Drains pending migration and grows to the canonical capacity.
-    pub fn normalize(&self) {
-        self.table.normalize();
-    }
-
-    /// Number of stored entries (exact at quiescence).
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Raw snapshot of the live backing array.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.table.snapshot()
-    }
-
-    /// Direct access to the growable fc table.
-    pub fn raw_mut(&mut self) -> &mut ResizableTable<E, FcHashTable<E>> {
         &mut self.table
     }
 }
@@ -542,7 +355,7 @@ mod tests {
 
     #[test]
     fn single_thread_roundtrip() {
-        let t: AutoPhaseTable<U64Key> = AutoPhaseTable::new_pow2(10);
+        let t: AutoPhaseGrowTable<U64Key> = AutoPhaseGrowTable::new_pow2(10);
         for k in 1..=100u64 {
             t.insert(U64Key::new(k));
         }
@@ -604,7 +417,7 @@ mod tests {
         // table must end in a consistent state: final contents ⊆ all
         // inserted, and every key that was inserted but never deleted
         // must be present.
-        let mut t: AutoPhaseTable<U64Key> = AutoPhaseTable::new_pow2(12);
+        let mut t: AutoPhaseGrowTable<U64Key> = AutoPhaseGrowTable::new_pow2(12);
         let never_deleted: Vec<u64> = (1000..1100).collect();
         std::thread::scope(|s| {
             for tid in 0..4u64 {
@@ -697,7 +510,7 @@ mod tests {
         // The fc migration path under the same mixed workload as
         // `concurrent_mixed_calls_stay_a_set` — no rooms, so inserts,
         // deletes, and finds genuinely overlap.
-        let mut t: FcAutoTable<U64Key> = FcAutoTable::new_pow2(12);
+        let mut t: FcAutoGrowTable<U64Key> = FcAutoGrowTable::new_pow2(12);
         let never_deleted: Vec<u64> = (1000..1100).collect();
         std::thread::scope(|s| {
             for tid in 0..4u64 {
@@ -766,8 +579,8 @@ mod tests {
     fn fc_auto_quiescent_snapshot_matches_room_table() {
         // Phase-separated usage: both wrappers must produce the same
         // canonical layout.
-        let rooms: AutoPhaseTable<U64Key> = AutoPhaseTable::new_pow2(10);
-        let mut fc: FcAutoTable<U64Key> = FcAutoTable::new_pow2(10);
+        let rooms: AutoPhaseGrowTable<U64Key> = AutoPhaseGrowTable::new_pow2(10);
+        let mut fc: FcAutoGrowTable<U64Key> = FcAutoGrowTable::new_pow2(10);
         for k in 1..=500u64 {
             rooms.insert(U64Key::new(k));
             fc.insert(U64Key::new(k));

@@ -205,15 +205,16 @@ pub fn scan_le<A: CellAtomic>(
     threshold: u64,
 ) -> ScanHit {
     debug_assert!(start <= end && end <= cells.len());
-    // Each call resolves the tier at runtime; hot loops should bind a
-    // kernel once per operation/batch instead (see `det::find_batch`).
+    // Each call resolves the tier at runtime; hot loops bind a kernel
+    // once per operation/batch through [`dispatch`] instead.
     phc_obs::probe!(count SimdRedispatches);
     match tier() {
+        // `tier()` reports Avx2 only when the CPU supports it.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { scan_le_avx2_w(cells, start, end, key_mask, threshold) },
+        SimdTier::Avx2 => Avx2(()).scan_le(cells, start, end, key_mask, threshold),
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => unsafe { scan_le_sse2_w(cells, start, end, key_mask, threshold) },
-        _ => scan_le_scalar(cells, start, end, key_mask, threshold),
+        SimdTier::Sse2 => Sse2.scan_le(cells, start, end, key_mask, threshold),
+        _ => Portable.scan_le(cells, start, end, key_mask, threshold),
     }
 }
 
@@ -231,16 +232,14 @@ pub fn scan_for_key<A: CellAtomic>(
 ) -> ScanHit {
     debug_assert!(start <= end && end <= cells.len());
     phc_obs::probe!(count SimdRedispatches);
+    let probe_masked = probe & key_mask;
     match tier() {
+        // `tier()` reports Avx2 only when the CPU supports it.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe {
-            scan_for_key_avx2_w(cells, start, end, empty, key_mask, probe & key_mask)
-        },
+        SimdTier::Avx2 => Avx2(()).scan_for_key(cells, start, end, empty, key_mask, probe_masked),
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => unsafe {
-            scan_for_key_sse2_w(cells, start, end, empty, key_mask, probe & key_mask)
-        },
-        _ => scan_for_key_scalar(cells, start, end, empty, key_mask, probe & key_mask),
+        SimdTier::Sse2 => Sse2.scan_for_key(cells, start, end, empty, key_mask, probe_masked),
+        _ => Portable.scan_for_key(cells, start, end, empty, key_mask, probe_masked),
     }
 }
 
@@ -349,145 +348,300 @@ pub fn scan_nonempty_mask<A: CellAtomic>(window: &[A], empty: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Width-dispatched per-tier kernels
+// Tier kernels and the one dispatcher
 // ---------------------------------------------------------------------
 //
-// The batch paths bind one of these per operation/batch inside their
-// own `#[target_feature]` bodies (see `det::find_batch`): the width
-// branch folds on `A::BITS`, and — both wrapper and kernel carrying the
-// same feature gate — the intrinsics inline straight into the bound
-// probe loop. 32-bit instantiations feed the `Simd32LanesScanned`
-// counter here, so every caller of the sub-word kernels is counted
-// without touching the call sites.
+// Every table writes its wide probe bodies once, generic over
+// `K: Kernel`; [`dispatch`] resolves the tier once per operation or
+// batch and monomorphizes the body per tier. The AVX2 instantiation
+// runs inside the single `#[target_feature(enable = "avx2")]`
+// trampoline below, so the kernel intrinsics inline straight into the
+// table's probe loop. The width branch folds on `A::BITS`; 32-bit
+// instantiations feed the `Simd32LanesScanned` counter here, so every
+// caller of the sub-word kernels is counted without touching the call
+// sites.
 
-/// AVX2 `scan_le` over either cell width.
+/// A wide-scan kernel, bound once per operation or batch. One
+/// zero-sized type per tier implements it; results are identical
+/// across kernels (the differential suites assert it).
+pub trait Kernel: Copy {
+    /// [`scan_le`] at this kernel's tier.
+    fn scan_le<A: CellAtomic>(
+        self,
+        cells: &[A],
+        start: usize,
+        end: usize,
+        key_mask: u64,
+        threshold: u64,
+    ) -> ScanHit;
+
+    /// [`scan_for_key`] at this kernel's tier, with the probe already
+    /// masked.
+    fn scan_for_key<A: CellAtomic>(
+        self,
+        cells: &[A],
+        start: usize,
+        end: usize,
+        empty: u64,
+        key_mask: u64,
+        probe_masked: u64,
+    ) -> ScanHit;
+
+    /// [`scan_le`](Self::scan_le) in linear-probing order over the
+    /// whole table: `[from, n)`, then — if nothing stopped there — the
+    /// wrapped `[0, from)`. Lane counts add up over both segments.
+    #[inline(always)]
+    fn scan_le_wrapping<A: CellAtomic>(
+        self,
+        cells: &[A],
+        from: usize,
+        key_mask: u64,
+        threshold: u64,
+    ) -> ScanHit {
+        let (hit, lanes) = self.scan_le(cells, from, cells.len(), key_mask, threshold);
+        if hit.is_some() {
+            return (hit, lanes);
+        }
+        let (hit, more) = self.scan_le(cells, 0, from, key_mask, threshold);
+        (hit, lanes + more)
+    }
+
+    /// [`scan_for_key`](Self::scan_for_key) in linear-probing order
+    /// over the whole table (see [`scan_le_wrapping`](Self::scan_le_wrapping)).
+    #[inline(always)]
+    fn scan_for_key_wrapping<A: CellAtomic>(
+        self,
+        cells: &[A],
+        from: usize,
+        empty: u64,
+        key_mask: u64,
+        probe_masked: u64,
+    ) -> ScanHit {
+        let (hit, lanes) =
+            self.scan_for_key(cells, from, cells.len(), empty, key_mask, probe_masked);
+        if hit.is_some() {
+            return (hit, lanes);
+        }
+        let (hit, more) = self.scan_for_key(cells, 0, from, empty, key_mask, probe_masked);
+        (hit, lanes + more)
+    }
+}
+
+/// The 256-bit kernels. Only [`dispatch`] (after runtime detection)
+/// and this module construct one, so holding an `Avx2` proves the CPU
+/// runs AVX2.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub struct Avx2(());
+
+/// The 128-bit kernels (the x86-64 baseline).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub struct Sse2;
+
+/// Per-cell atomic scans behind the kernel interface: what the wide
+/// bodies run on targets without vector kernels.
+#[derive(Clone, Copy)]
+pub struct Portable;
+
+/// Counts the lanes a 32-bit-cell scan examined.
+#[inline(always)]
+fn count_sub_word<A: CellAtomic>(hit: ScanHit) -> ScanHit {
+    if A::BITS == 32 {
+        phc_obs::probe!(count Simd32LanesScanned, hit.1);
+    }
+    hit
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Kernel for Avx2 {
+    #[inline(always)]
+    fn scan_le<A: CellAtomic>(
+        self,
+        cells: &[A],
+        start: usize,
+        end: usize,
+        key_mask: u64,
+        threshold: u64,
+    ) -> ScanHit {
+        debug_assert!(start <= end && end <= cells.len());
+        let p = cells.as_ptr();
+        // SAFETY: holding `self` proves AVX2; the range is in bounds
+        // (see the module docs for the wide-load race argument).
+        count_sub_word::<A>(unsafe {
+            if A::BITS == 32 {
+                x86::scan_le_avx2_u32(p.cast(), start, end, key_mask, threshold)
+            } else {
+                x86::scan_le_avx2(p.cast(), start, end, key_mask, threshold)
+            }
+        })
+    }
+
+    #[inline(always)]
+    fn scan_for_key<A: CellAtomic>(
+        self,
+        cells: &[A],
+        start: usize,
+        end: usize,
+        empty: u64,
+        key_mask: u64,
+        probe_masked: u64,
+    ) -> ScanHit {
+        debug_assert!(start <= end && end <= cells.len());
+        let p = cells.as_ptr();
+        // SAFETY: as in `scan_le`.
+        count_sub_word::<A>(unsafe {
+            if A::BITS == 32 {
+                x86::scan_for_key_avx2_u32(p.cast(), start, end, empty, key_mask, probe_masked)
+            } else {
+                x86::scan_for_key_avx2(p.cast(), start, end, empty, key_mask, probe_masked)
+            }
+        })
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Kernel for Sse2 {
+    #[inline(always)]
+    fn scan_le<A: CellAtomic>(
+        self,
+        cells: &[A],
+        start: usize,
+        end: usize,
+        key_mask: u64,
+        threshold: u64,
+    ) -> ScanHit {
+        debug_assert!(start <= end && end <= cells.len());
+        let p = cells.as_ptr();
+        // SAFETY: SSE2 is the x86-64 baseline; the range is in bounds.
+        count_sub_word::<A>(unsafe {
+            if A::BITS == 32 {
+                x86::scan_le_sse2_u32(p.cast(), start, end, key_mask, threshold)
+            } else {
+                x86::scan_le_sse2(p.cast(), start, end, key_mask, threshold)
+            }
+        })
+    }
+
+    #[inline(always)]
+    fn scan_for_key<A: CellAtomic>(
+        self,
+        cells: &[A],
+        start: usize,
+        end: usize,
+        empty: u64,
+        key_mask: u64,
+        probe_masked: u64,
+    ) -> ScanHit {
+        debug_assert!(start <= end && end <= cells.len());
+        let p = cells.as_ptr();
+        // SAFETY: as in `scan_le`.
+        count_sub_word::<A>(unsafe {
+            if A::BITS == 32 {
+                x86::scan_for_key_sse2_u32(p.cast(), start, end, empty, key_mask, probe_masked)
+            } else {
+                x86::scan_for_key_sse2(p.cast(), start, end, empty, key_mask, probe_masked)
+            }
+        })
+    }
+}
+
+impl Kernel for Portable {
+    #[inline(always)]
+    fn scan_le<A: CellAtomic>(
+        self,
+        cells: &[A],
+        start: usize,
+        end: usize,
+        key_mask: u64,
+        threshold: u64,
+    ) -> ScanHit {
+        scan_le_scalar(cells, start, end, key_mask, threshold)
+    }
+
+    #[inline(always)]
+    fn scan_for_key<A: CellAtomic>(
+        self,
+        cells: &[A],
+        start: usize,
+        end: usize,
+        empty: u64,
+        key_mask: u64,
+        probe_masked: u64,
+    ) -> ScanHit {
+        scan_for_key_scalar(cells, start, end, empty, key_mask, probe_masked)
+    }
+}
+
+/// An operation on a table `T` with a reference scalar form and a wide
+/// form written once over the bound kernel — the unit [`dispatch`]
+/// runs. The table is passed to the forms as an argument of its own
+/// rather than carried in the op, so each out-of-line form has it as a
+/// shared-reference parameter: the compiler may then keep the table's
+/// fields in registers across the probe loop's atomic operations.
+pub trait TierOp<T: ?Sized>: Sized {
+    /// The operation's result.
+    type Out;
+    /// Whether the wide form applies at all (false for entry types
+    /// without a maskable key, which only the scalar loops understand).
+    const WIDE: bool = true;
+    /// The per-cell atomic form: the scalar tier's reference semantics.
+    fn scalar(self, t: &T) -> Self::Out;
+    /// The wide form with kernel `k` bound for the whole operation.
+    fn wide<K: Kernel>(self, t: &T, k: K) -> Self::Out;
+}
+
+/// Runs `op` on `t` at the active tier: the scalar form at `Scalar`
+/// (or when the op cannot widen, counted as `SimdFallbacks`), otherwise
+/// the wide form with the tier's kernel bound once. This is the crate's
+/// one tier dispatch point for table operations. Only the tier branch
+/// is inlined into callers; each form runs out of line, so a call site
+/// stays small and the probe loop gets a function of its own.
+#[inline(always)]
+pub fn dispatch<T: ?Sized, Op: TierOp<T>>(t: &T, op: Op) -> Op::Out {
+    let tier = tier();
+    if tier == SimdTier::Scalar || !Op::WIDE {
+        return run_scalar(t, op, tier);
+    }
+    phc_obs::probe!(count SimdRedispatches);
+    match tier {
+        // SAFETY: `tier()` reports Avx2 only when the CPU supports it.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { run_avx2(t, op) },
+        #[cfg(target_arch = "x86_64")]
+        _ => run_wide(t, op, Sse2),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => run_wide(t, op, Portable),
+    }
+}
+
+/// The scalar form (counting a fallback when a wide tier is active).
+#[inline(never)]
+fn run_scalar<T: ?Sized, Op: TierOp<T>>(t: &T, op: Op, tier: SimdTier) -> Op::Out {
+    if tier != SimdTier::Scalar {
+        phc_obs::probe!(count SimdFallbacks);
+    }
+    op.scalar(t)
+}
+
+/// The wide form at a baseline tier (no feature gate needed).
+#[inline(never)]
+fn run_wide<T: ?Sized, Op: TierOp<T>, K: Kernel>(t: &T, op: Op, k: K) -> Op::Out {
+    op.wide(t, k)
+}
+
+/// The AVX2 trampoline: compiled with the feature enabled, so the
+/// op's `#[inline(always)]` body and the kernel intrinsics inline into
+/// one function per operation type.
 ///
 /// # Safety
 ///
-/// AVX2 must be available, and `[start, end)` must be in bounds of
-/// `cells` (see the module docs for the wide-load race argument).
+/// AVX2 must be available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub unsafe fn scan_le_avx2_w<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    key_mask: u64,
-    threshold: u64,
-) -> ScanHit {
-    let hit = if A::BITS == 32 {
-        x86::scan_le_avx2_u32(cells.as_ptr().cast(), start, end, key_mask, threshold)
-    } else {
-        x86::scan_le_avx2(cells.as_ptr().cast(), start, end, key_mask, threshold)
-    };
-    if A::BITS == 32 {
-        phc_obs::probe!(count Simd32LanesScanned, hit.1);
-    }
-    hit
-}
-
-/// SSE2 `scan_le` over either cell width.
-///
-/// # Safety
-///
-/// `[start, end)` must be in bounds of `cells`.
-#[cfg(target_arch = "x86_64")]
-pub unsafe fn scan_le_sse2_w<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    key_mask: u64,
-    threshold: u64,
-) -> ScanHit {
-    let hit = if A::BITS == 32 {
-        x86::scan_le_sse2_u32(cells.as_ptr().cast(), start, end, key_mask, threshold)
-    } else {
-        x86::scan_le_sse2(cells.as_ptr().cast(), start, end, key_mask, threshold)
-    };
-    if A::BITS == 32 {
-        phc_obs::probe!(count Simd32LanesScanned, hit.1);
-    }
-    hit
-}
-
-/// AVX2 key-or-empty scan over either cell width.
-///
-/// # Safety
-///
-/// AVX2 must be available, and `[start, end)` must be in bounds of
-/// `cells`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub unsafe fn scan_for_key_avx2_w<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    empty: u64,
-    key_mask: u64,
-    probe_masked: u64,
-) -> ScanHit {
-    let hit = if A::BITS == 32 {
-        x86::scan_for_key_avx2_u32(
-            cells.as_ptr().cast(),
-            start,
-            end,
-            empty,
-            key_mask,
-            probe_masked,
-        )
-    } else {
-        x86::scan_for_key_avx2(
-            cells.as_ptr().cast(),
-            start,
-            end,
-            empty,
-            key_mask,
-            probe_masked,
-        )
-    };
-    if A::BITS == 32 {
-        phc_obs::probe!(count Simd32LanesScanned, hit.1);
-    }
-    hit
-}
-
-/// SSE2 key-or-empty scan over either cell width.
-///
-/// # Safety
-///
-/// `[start, end)` must be in bounds of `cells`.
-#[cfg(target_arch = "x86_64")]
-pub unsafe fn scan_for_key_sse2_w<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    empty: u64,
-    key_mask: u64,
-    probe_masked: u64,
-) -> ScanHit {
-    let hit = if A::BITS == 32 {
-        x86::scan_for_key_sse2_u32(
-            cells.as_ptr().cast(),
-            start,
-            end,
-            empty,
-            key_mask,
-            probe_masked,
-        )
-    } else {
-        x86::scan_for_key_sse2(
-            cells.as_ptr().cast(),
-            start,
-            end,
-            empty,
-            key_mask,
-            probe_masked,
-        )
-    };
-    if A::BITS == 32 {
-        phc_obs::probe!(count Simd32LanesScanned, hit.1);
-    }
-    hit
+#[inline(never)]
+unsafe fn run_avx2<T: ?Sized, Op: TierOp<T>>(t: &T, op: Op) -> Op::Out {
+    op.wide(t, Avx2(()))
 }
 
 // ---------------------------------------------------------------------

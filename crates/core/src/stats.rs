@@ -8,7 +8,7 @@
 //! tests and ablation benches can assert the mechanism, not just the
 //! wall-clock symptom.
 
-use crate::cell::AtomOf;
+use crate::cell::{AtomOf, CellAtomic};
 use crate::entry::HashEntry;
 
 /// Number of occupied cells in a live cell array: the single occupancy
@@ -19,29 +19,24 @@ use crate::entry::HashEntry;
 /// Cell width follows the entry type's `Repr`. Quiescent use only
 /// (like `len()` always was).
 pub fn occupied_len<E: HashEntry>(cells: &[AtomOf<E::Repr>]) -> usize {
-    use rayon::prelude::*;
-    cells
-        .par_chunks(4096)
-        .map(|block| {
-            block
-                .chunks(64)
-                .map(|w| crate::simd::scan_nonempty_mask(w, E::EMPTY).count_ones() as usize)
-                .sum::<usize>()
-        })
-        .sum()
+    occupied_cells(cells, E::EMPTY)
 }
 
 /// [`occupied_len`] pinned to 64-bit cells regardless of the entry's
 /// `Repr` — for tables whose storage is always full-word (cuckoo,
 /// hopscotch) even when the entry would fit a narrower cell.
 pub fn occupied_len_u64<E: HashEntry>(cells: &[std::sync::atomic::AtomicU64]) -> usize {
+    occupied_cells(cells, E::EMPTY)
+}
+
+fn occupied_cells<A: CellAtomic>(cells: &[A], empty: u64) -> usize {
     use rayon::prelude::*;
     cells
         .par_chunks(4096)
         .map(|block| {
             block
                 .chunks(64)
-                .map(|w| crate::simd::scan_nonempty_mask(w, E::EMPTY).count_ones() as usize)
+                .map(|w| crate::simd::scan_nonempty_mask(w, empty).count_ones() as usize)
                 .sum::<usize>()
         })
         .sum()

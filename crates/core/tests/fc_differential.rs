@@ -253,3 +253,37 @@ fn fc_growth_matches_det_core_across_tiers_and_threads() {
         set_tier(None);
     }
 }
+
+/// Regression: the mixed window above, repeated over seeded key sets
+/// at 3/4 load. A delete's copy-down leaves two copies of the moved
+/// entry until its chase removes the upper one; an insert that
+/// displaced one of those copies used to merge it into the other (or
+/// let its placement repair remove its own copy), after which the
+/// chase removed the survivor — a live base key that was never
+/// deleted went missing in about half of the windows.
+#[test]
+fn fc_mixed_window_keeps_copies_under_chase() {
+    let _g = lock();
+    let n = LOADS[2];
+    for seed in 0..40u64 {
+        let base: Vec<U64Key> = keys_u64(n, 0xC4A5E ^ seed.rotate_left(29))
+            .iter()
+            .map(|&k| U64Key::new(k))
+            .collect();
+        let extras: Vec<U64Key> = (0..n as u64 / 8)
+            .map(|i| U64Key::new((1 << 44) + 1 + i))
+            .collect();
+        let dels: Vec<U64Key> = base.iter().copied().step_by(3).collect();
+        let probes: Vec<U64Key> = base.iter().copied().step_by(7).collect();
+        let del_reprs: BTreeSet<u64> = dels.iter().map(|e| e.to_repr()).collect();
+        let survivors: Vec<U64Key> = base
+            .iter()
+            .copied()
+            .filter(|e| !del_reprs.contains(&e.to_repr()))
+            .chain(extras.iter().copied())
+            .collect();
+        let (_, mixed, len) = run_fc(2, &base, &extras, &dels, &probes);
+        assert_eq!(mixed, det_snapshot(&survivors), "seed {seed}");
+        assert_eq!(len, survivors.len(), "seed {seed}");
+    }
+}

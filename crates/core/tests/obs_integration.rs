@@ -5,8 +5,12 @@
 #![cfg(feature = "obs")]
 
 use phc_core::phase::{ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable};
-use phc_core::{AutoPhaseGrowTable, DetHashTable, KvPair32, U64Key};
+use phc_core::{AutoPhaseGrowTable, DetHashTable, FcAutoGrowTable, KvPair32, U64Key};
 use phc_obs::{Counter, Gauge, Histogram, PhaseEvent, Recorder};
+
+/// Serializes the tests that drive room wrappers, so each can read the
+/// process-wide `room_switches` counter as its own.
+static ROOMS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// True iff `needle` occurs as an (ordered, not necessarily
 /// contiguous) subsequence of `hay`.
@@ -89,6 +93,7 @@ fn det_workload_emits_counters_histogram_and_timeline_cycle() {
 /// is asserted only when a wide tier is active).
 #[test]
 fn shrink_cycle_emits_shrink_counters_and_memory_gauge() {
+    let _rooms = ROOMS.lock().unwrap_or_else(|e| e.into_inner());
     let rec = Recorder::global();
     let before = rec.snapshot();
 
@@ -126,14 +131,11 @@ fn shrink_cycle_emits_shrink_counters_and_memory_gauge() {
     }
 }
 
-/// PR 10's freeze-free migration: a forced growth workload must pay
-/// help quotas (nonzero help counter and stall-histogram samples)
-/// without a single freeze-handshake wait — `FreezeWaits` stays
-/// registered for old dashboards but is structurally never
-/// incremented — and probes landing on claimed cells must count as
-/// forwarded.
+/// Freeze-free migration: a forced growth workload must pay help
+/// quotas (nonzero help counter and stall-histogram samples), and
+/// probes landing on claimed cells must count as forwarded.
 #[test]
-fn growth_workload_helps_without_freeze_waits() {
+fn growth_workload_pays_help_quotas() {
     let rec = Recorder::global();
     let before = rec.snapshot();
 
@@ -156,15 +158,6 @@ fn growth_workload_helps_without_freeze_waits() {
         delta.samples(Histogram::MigrationStallNanos) >= 1,
         "no migration stall samples recorded"
     );
-    // Asserted on the full snapshot, not the delta: zero must hold
-    // across every test in this binary, since no code path increments
-    // the retired counter any more.
-    assert_eq!(
-        rec.snapshot().counter(Counter::FreezeWaits),
-        0,
-        "freeze-era handshake wait observed under the freeze-free resizer"
-    );
-
     // A probe landing on a claimed (forwarded) cell is counted. The
     // delete walk observes cells one at a time at every SIMD tier, so
     // its forwarding guard fires deterministically (wide find kernels
@@ -197,4 +190,35 @@ fn pack_sizes_recorded_by_elements() {
     assert_eq!(t.elements().len(), 300);
     let delta = rec.snapshot().since(&before);
     assert!(delta.samples(Histogram::PackSize) >= 1);
+}
+
+/// The one room wrapper decides per core whether calls enter its
+/// synchronizer: the same batched op-kind sequence pays room switches
+/// over the det core and none over the fc core.
+#[test]
+fn room_switches_follow_the_core() {
+    let _rooms = ROOMS.lock().unwrap_or_else(|e| e.into_inner());
+    let rec = Recorder::global();
+    let keys: Vec<U64Key> = (1..=600u64).map(U64Key::new).collect();
+    let (dels, _) = keys.split_at(200);
+
+    let before = rec.snapshot();
+    let det = AutoPhaseGrowTable::<U64Key>::new_pow2(6);
+    det.par_insert_batched(&keys);
+    det.par_delete_batched(dels);
+    assert_eq!(det.par_find_batched(dels), vec![None; dels.len()]);
+    det.par_insert_batched(dels);
+    let det_switches = rec.snapshot().since(&before).counter(Counter::RoomSwitches);
+
+    let before = rec.snapshot();
+    let fc = FcAutoGrowTable::<U64Key>::new_pow2(6);
+    fc.par_insert_batched(&keys);
+    fc.par_delete_batched(dels);
+    assert_eq!(fc.par_find_batched(dels), vec![None; dels.len()]);
+    fc.par_insert_batched(dels);
+    let fc_switches = rec.snapshot().since(&before).counter(Counter::RoomSwitches);
+
+    assert!(det_switches > 0, "det core must pay op-kind room switches");
+    assert_eq!(fc_switches, 0, "fc core must never enter a room");
+    assert_eq!(det.snapshot(), fc.snapshot());
 }

@@ -17,8 +17,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use phc_core::simd::{set_tier, SimdTier};
 use phc_core::{
-    ConcurrentDelete, DetHashTable, HashEntry, KvPair, NdHashTable, PhaseHashTable, ResizableTable,
-    RobinHoodHashTable, U64Key,
+    ConcurrentDelete, DetHashTable, FcHashTable, HashEntry, KvPair, NdHashTable, PhaseHashTable,
+    ResizableTable, RobinHoodHashTable, U64Key,
 };
 use phc_parutil::hash64;
 use rayon::prelude::*;
@@ -176,6 +176,41 @@ fn run_rh<E: HashEntry>(entries: &[E], probes: &[E], dels: &[E]) -> Observed {
     }
 }
 
+/// Phase-separated driver for the fully-concurrent table: batched and
+/// per-op inserts, a batched lookup, then batched and per-op deletes,
+/// with no op-kind overlap. Quiescent fc layouts are canonical, so the
+/// raw snapshot is a hard cross-tier target here too — a per-tier
+/// witness for fc's dispatch that does not depend on overlap repair.
+fn run_fc<E: HashEntry>(entries: &[E], probes: &[E], dels: &[E]) -> Observed {
+    let t = FcHashTable::<E>::new_pow2(LOG2);
+    let (batched, rest) = entries.split_at(entries.len() / 2);
+    t.insert_batch(batched);
+    rest.par_iter().for_each(|&e| t.insert(e));
+
+    let snapshot = t.snapshot();
+    let finds = t
+        .find_batch(probes)
+        .into_iter()
+        .map(|o| o.map(E::to_repr))
+        .collect();
+    let elements = sorted_reprs(t.elements());
+    let len = t.len();
+
+    let (batched, rest) = dels.split_at(dels.len() / 2);
+    t.delete_batch(batched);
+    rest.par_iter().for_each(|&e| t.delete(e));
+
+    Observed {
+        snapshot,
+        finds,
+        elements,
+        len,
+        snapshot_after_delete: t.snapshot(),
+        elements_after_delete: sorted_reprs(t.elements()),
+        len_after_delete: t.len(),
+    }
+}
+
 fn assert_tiers_agree<E: HashEntry>(
     label: &str,
     run: impl Fn(&[E], &[E], &[E]) -> Observed,
@@ -276,6 +311,33 @@ fn rh_kv_identical_across_tiers_at_all_loads() {
         probes.extend((0..256u32).map(|i| KvPair::new(u32::MAX - i, 0)));
         let dels: Vec<KvPair> = entries.iter().copied().step_by(3).collect();
         assert_tiers_agree("rh/kv", run_rh::<KvPair>, &entries, &probes, &dels);
+    }
+}
+
+#[test]
+fn fc_u64_identical_across_tiers_at_all_loads() {
+    let _g = lock();
+    for &n in &LOADS {
+        let keys = keys_u64(n, 0xFC5);
+        let entries: Vec<U64Key> = keys.iter().map(|&k| U64Key::new(k)).collect();
+        let mut probes = entries.clone();
+        probes.extend((0..256u64).map(|i| U64Key::new((1 << 50) + i)));
+        let dels: Vec<U64Key> = entries.iter().copied().step_by(3).collect();
+        assert_tiers_agree("fc/u64", run_fc::<U64Key>, &entries, &probes, &dels);
+    }
+}
+
+#[test]
+fn fc_kv_identical_across_tiers_at_all_loads() {
+    let _g = lock();
+    for &n in &LOADS {
+        let entries: Vec<KvPair> = (0..n as u64)
+            .map(|i| KvPair::new(1 + (hash64(i ^ 0xFCFC) as u32 >> 1), i as u32))
+            .collect();
+        let mut probes = entries.clone();
+        probes.extend((0..256u32).map(|i| KvPair::new(u32::MAX - i, 0)));
+        let dels: Vec<KvPair> = entries.iter().copied().step_by(3).collect();
+        assert_tiers_agree("fc/kv", run_fc::<KvPair>, &entries, &probes, &dels);
     }
 }
 

@@ -78,11 +78,6 @@ define_ids! {
         DeleteProbeSteps => "delete_probe_steps",
         /// Migration blocks claimed from a retiring epoch's cursor.
         MigrationBlocksClaimed => "migration_blocks_claimed",
-        /// Freeze handshakes that actually had to wait for a writer.
-        /// Retired by the freeze-free resizer (PR 10): kept registered
-        /// for dashboard/JSON stability but never incremented — the
-        /// obs integration suite asserts it stays 0.
-        FreezeWaits => "freeze_waits",
         /// Successor epochs published by the cooperative resizer.
         EpochsPublished => "epochs_published",
         /// Cuckoo eviction steps (entries displaced to their other cell).
@@ -234,11 +229,10 @@ define_ids! {
         ReadEnd => "read_end",
         /// The resizer published a doubled successor epoch.
         EpochPublish => "epoch_publish",
-        /// A migrator passed the writer gate on a retiring epoch
-        /// (historically: completed the freeze handshake). The name is
-        /// kept for timeline compatibility; since PR 10 it marks the
-        /// moment a sweep may begin, not a stop-the-world freeze.
-        EpochFreeze => "epoch_freeze",
+        /// A migrator passed the delete-writer gate of a retiring
+        /// epoch: registered deletes (and the core's multi-cell write
+        /// protocols) have drained, so block claiming may begin.
+        DeleteWriterGate => "delete_writer_gate",
         /// A drained epoch was retired from the chain.
         MigrationFinish => "migration_finish",
     }

@@ -22,11 +22,12 @@
 //!   response re-assembly at submission indices, so neither routing
 //!   nor scheduling can reorder what a client observes.
 //!
-//! The [`FcKvServer`] mode swaps each shard's table for the fully
-//! concurrent [`FcAutoGrowTable`](phc_core::FcAutoGrowTable): same
+//! The [`FcKvServer`] mode swaps each shard's core for the fully
+//! concurrent one — [`FcAutoGrowTable`](phc_core::FcAutoGrowTable) is
+//! the same room wrapper over the fc core, which needs no rooms: same
 //! response log byte-for-byte, but the sub-phase boundaries inside a
-//! batch stop costing room switches entirely (see
-//! [`shard_table`]).
+//! batch stop costing room switches entirely. One generic
+//! [`ShardTable`] impl serves both modes (see [`shard_table`]).
 //!
 //! [`AutoPhaseGrowTable`]: phc_core::AutoPhaseGrowTable
 

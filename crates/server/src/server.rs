@@ -34,10 +34,11 @@
 //!
 //! ## The fc mode
 //!
-//! [`FcKvServer`] swaps the shard table for the fully concurrent
-//! [`FcAutoGrowTable`](phc_core::FcAutoGrowTable): the three sub-phase
-//! calls inside a shard fuse into one pass with no room entry, exit,
-//! or switch between them. Responses are byte-identical to the rooms
+//! [`FcKvServer`] swaps the shard core for the fully concurrent one:
+//! [`FcAutoGrowTable`](phc_core::FcAutoGrowTable) is the same room
+//! wrapper over the fc core, whose calls enter no room, so the three
+//! sub-phase calls inside a shard fuse into one pass with no room
+//! entry, exit, or switch between them. Responses are byte-identical to the rooms
 //! mode — both cores produce the same canonical layout for the same
 //! key set, and the sub-phase *order* (program order, here) still
 //! pins what every get observes. Quiescence at each batch boundary is

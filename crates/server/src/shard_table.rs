@@ -1,18 +1,22 @@
 //! The table interface a [`KvServer`](crate::KvServer) shard drives,
 //! abstracting over the synchronization discipline.
 //!
-//! Two implementations ship:
+//! One generic implementation ships: the room wrapper
+//! [`AutoPhaseGrowTable`] over any flat core. The core decides the
+//! discipline through [`FlatTableCore::NEEDS_ROOMS`], which also sets
+//! the shard's [`MODE`](ShardTable::MODE) label:
 //!
-//! * [`AutoPhaseGrowTable`] — the PR 7 path: a room synchronizer turns
-//!   each batched call into a phase, so every put→delete→get sub-phase
-//!   boundary inside [`apply_batch`](crate::KvServer::apply_batch)
-//!   pays a room switch (entry CAS + drain wait).
-//! * [`FcAutoGrowTable`] — the fc path: the fully concurrent core
-//!   needs no rooms at all, so a shard's three sub-batches run
-//!   back-to-back as one fused pass with no synchronizer traffic
-//!   between them. The sub-phase *order* is kept (it is what makes
-//!   get responses a pure function of the batch), but ordering now
-//!   costs only program order, not a room handshake.
+//! * `"rooms"` — `AutoPhaseGrowTable<_>` over the det core: a room
+//!   synchronizer turns each batched call into a phase, so every
+//!   put→delete→get sub-phase boundary inside
+//!   [`apply_batch`](crate::KvServer::apply_batch) pays a room switch
+//!   (entry CAS + drain wait).
+//! * `"fc"` — [`FcAutoGrowTable`] (the same wrapper over the fc core):
+//!   the fully concurrent core needs no rooms at all, so a shard's
+//!   three sub-batches run back-to-back as one fused pass with no
+//!   synchronizer traffic between them. The sub-phase *order* is kept
+//!   (it is what makes get responses a pure function of the batch),
+//!   but ordering now costs only program order, not a room handshake.
 //!
 //! Both cores produce byte-identical canonical layouts for the same
 //! key set (the fc differential suite's invariant), so swapping the
@@ -20,7 +24,10 @@
 //! the shard pays.
 
 use phc_core::entry::{Combine, KvPair};
-use phc_core::{AutoPhaseGrowTable, FcAutoGrowTable};
+use phc_core::{AutoPhaseGrowTable, FlatTableCore};
+
+#[cfg(doc)]
+use phc_core::FcAutoGrowTable;
 
 /// One shard's table: growable, combining, deterministic at batch
 /// boundaries. See the [module docs](self) for the two disciplines.
@@ -68,8 +75,8 @@ pub trait ShardTable<C: Combine>: Send + Sync {
     }
 }
 
-impl<C: Combine> ShardTable<C> for AutoPhaseGrowTable<KvPair<C>> {
-    const MODE: &'static str = "rooms";
+impl<C: Combine, T: FlatTableCore<KvPair<C>>> ShardTable<C> for AutoPhaseGrowTable<KvPair<C>, T> {
+    const MODE: &'static str = if T::NEEDS_ROOMS { "rooms" } else { "fc" };
 
     fn new_pow2(log2_cells: u32) -> Self {
         AutoPhaseGrowTable::new_pow2(log2_cells)
@@ -109,49 +116,5 @@ impl<C: Combine> ShardTable<C> for AutoPhaseGrowTable<KvPair<C>> {
 
     fn len(&self) -> usize {
         AutoPhaseGrowTable::len(self)
-    }
-}
-
-impl<C: Combine> ShardTable<C> for FcAutoGrowTable<KvPair<C>> {
-    const MODE: &'static str = "fc";
-
-    fn new_pow2(log2_cells: u32) -> Self {
-        FcAutoGrowTable::new_pow2(log2_cells)
-    }
-
-    fn insert(&self, e: KvPair<C>) {
-        FcAutoGrowTable::insert(self, e);
-    }
-
-    fn delete(&self, key: KvPair<C>) {
-        FcAutoGrowTable::delete(self, key);
-    }
-
-    fn find(&self, key: KvPair<C>) -> Option<KvPair<C>> {
-        FcAutoGrowTable::find(self, key)
-    }
-
-    fn par_insert_batched(&self, entries: &[KvPair<C>]) {
-        FcAutoGrowTable::par_insert_batched(self, entries);
-    }
-
-    fn par_delete_batched(&self, keys: &[KvPair<C>]) {
-        FcAutoGrowTable::par_delete_batched(self, keys);
-    }
-
-    fn par_find_batched(&self, keys: &[KvPair<C>]) -> Vec<Option<KvPair<C>>> {
-        FcAutoGrowTable::par_find_batched(self, keys)
-    }
-
-    fn elements_into(&self, out: &mut Vec<KvPair<C>>) {
-        FcAutoGrowTable::elements_into(self, out)
-    }
-
-    fn snapshot(&self) -> Vec<u64> {
-        FcAutoGrowTable::snapshot(self)
-    }
-
-    fn len(&self) -> usize {
-        FcAutoGrowTable::len(self)
     }
 }

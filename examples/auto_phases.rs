@@ -1,13 +1,13 @@
 //! The two "beyond the paper" conveniences: a growable deterministic
 //! table (`ResizableTable`, implementing §4's resizing outline) and a
-//! self-phasing table (`AutoPhaseTable`, the room-synchronization
-//! future work from §7).
+//! self-phasing table (`AutoPhaseGrowTable`, the room-synchronization
+//! future work from §7, over the same growable table).
 //!
 //! ```text
 //! cargo run --release --example auto_phases
 //! ```
 
-use phase_concurrent_hashing::tables::{AutoPhaseTable, ResizableTable, U64Key};
+use phase_concurrent_hashing::tables::{AutoPhaseGrowTable, ResizableTable, U64Key};
 use rayon::prelude::*;
 
 fn main() {
@@ -35,8 +35,8 @@ fn main() {
     assert_eq!(grow.snapshot(), grow2.snapshot());
     println!("identical layout from a reversed build, across ~13 doublings ✓");
 
-    // --- AutoPhaseTable: no phase discipline required. ----------------
-    let auto: AutoPhaseTable<U64Key> = AutoPhaseTable::new_pow2(16);
+    // --- AutoPhaseGrowTable: no phase discipline required. -----------
+    let auto: AutoPhaseGrowTable<U64Key> = AutoPhaseGrowTable::new_pow2(4);
     std::thread::scope(|s| {
         for t in 0..4u64 {
             let auto = &auto;
@@ -55,8 +55,11 @@ fn main() {
             });
         }
     });
+    assert_eq!(auto.len(), 4 * 3_750);
     println!(
-        "AutoPhaseTable survived 4 threads of mixed ops: {} keys remain",
-        auto.elements().len()
+        "AutoPhaseGrowTable survived 4 threads of mixed ops from a 16-cell seed: \
+         {} keys remain in {} cells ✓",
+        auto.elements().len(),
+        auto.capacity()
     );
 }
