@@ -42,7 +42,7 @@ const INSERT_PREFETCH_AHEAD_MT: usize = 2;
 
 /// Prefetch distance for the batched **insert** paths: the full
 /// [`PREFETCH_AHEAD`] pipeline on a single-worker pool, clamped to
-/// [`INSERT_PREFETCH_AHEAD_MT`] when the current rayon pool runs more
+/// `INSERT_PREFETCH_AHEAD_MT` when the current rayon pool runs more
 /// than one worker (T≥2). Find batches keep the deep pipeline — reads
 /// never invalidate each other's lines. Purely a performance hint; the
 /// distance never changes which cells are read or written.
@@ -91,11 +91,19 @@ pub trait ProbeCore: Sync {
     const TYPE_NAME: &'static str;
     /// Whether the wide kernels understand the entry type.
     const WIDE: bool = <Self::Entry as HashEntry>::SIMD_KEY_MASK.is_some();
+    /// The counter the prioritized-probe engine ([`crate::det`]) bumps
+    /// once per displacement swap.
+    const SWAP_COUNTER: phc_obs::Counter = phc_obs::Counter::PrioritySwap;
 
     /// The cell array.
     fn cells(&self) -> &[AtomOf<<Self::Entry as HashEntry>::Repr>];
     /// Home slot of a repr.
     fn home(&self, v: u64) -> usize;
+    /// Home slot of a stored cell value.
+    #[inline]
+    fn stored_home(&self, c: u64) -> usize {
+        self.home(self.unstore(c))
+    }
     /// Scalar insert inside the window `tok`; `Err(carried)` when the
     /// probe wrapped a full table (or met a forwarding marker).
     fn insert_scalar(&self, v: u64, tok: u64) -> Result<Self::Fill, u64>;
@@ -141,7 +149,7 @@ pub trait ProbeCore: Sync {
     /// (always, while the table is not full).
     #[inline]
     fn lift_home(&self, c: u64, at: usize) -> usize {
-        at - self.dist(self.home(self.unstore(c)), at & (self.cells().len() - 1))
+        at - self.dist(self.stored_home(c), at & (self.cells().len() - 1))
     }
     /// Forward distance from bucket `from` to bucket `to` (both already
     /// reduced), in `[0, capacity)`.

@@ -3,8 +3,8 @@
 //! Every flat table in this crate stores entries in a contiguous array
 //! of atomic cells. Historically that cell was hard-coded to
 //! `AtomicU64`; this module makes the width a *parameter*, so an entry
-//! type whose key+value pack into 32 bits ([`KvPair32`]
-//! (crate::entry::KvPair32)) can halve its bytes-per-cell — and, on the
+//! type whose key+value pack into 32 bits
+//! ([`KvPair32`](crate::entry::KvPair32)) can halve its bytes-per-cell — and, on the
 //! wide-scan paths, double the lanes examined per vector (AVX2 scans 8
 //! × 32-bit cells per 256-bit load instead of 4 × 64-bit).
 //!

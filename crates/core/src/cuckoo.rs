@@ -13,9 +13,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::phase::PhaseHashTable;
 
 /// Maximum eviction chain length before declaring the table too full.
 /// With tables sized at load ≤ 0.5 (as in all experiments) chains stay
@@ -117,7 +115,7 @@ impl<E: HashEntry> CuckooHashTable<E> {
     /// Inserts an entry; duplicates resolve via [`HashEntry::combine`].
     ///
     /// # Panics
-    /// Panics if an eviction chain exceeds [`MAX_EVICTIONS`] (table too
+    /// Panics if an eviction chain exceeds `MAX_EVICTIONS` (table too
     /// full).
     pub fn insert(&self, e: E) {
         let mut v = e.to_repr();
@@ -230,69 +228,25 @@ impl<E: HashEntry> CuckooHashTable<E> {
     }
 }
 
-/// Insert-phase handle.
-pub struct CuckooInserter<'t, E: HashEntry>(&'t CuckooHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Delete-phase handle.
-pub struct CuckooDeleter<'t, E: HashEntry>(&'t CuckooHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Read-phase handle.
-pub struct CuckooReader<'t, E: HashEntry>(&'t CuckooHashTable<E>, #[allow(dead_code)] PhaseSpan);
-
-impl<E: HashEntry> ConcurrentInsert<E> for CuckooInserter<'_, E> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry> ConcurrentDelete<E> for CuckooDeleter<'_, E> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry> ConcurrentRead<E> for CuckooReader<'_, E> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-
 impl<E: HashEntry> PhaseHashTable<E> for CuckooHashTable<E> {
-    type Inserter<'t>
-        = CuckooInserter<'t, E>
-    where
-        E: 't;
-    type Deleter<'t>
-        = CuckooDeleter<'t, E>
-    where
-        E: 't;
-    type Reader<'t>
-        = CuckooReader<'t, E>
-    where
-        E: 't;
-
     const NAME: &'static str = "cuckooHash";
 
     fn new_pow2(log2_size: u32) -> Self {
         CuckooHashTable::new_pow2(log2_size)
     }
-
     fn capacity(&self) -> usize {
         self.capacity()
     }
-
-    fn begin_insert(&mut self) -> CuckooInserter<'_, E> {
-        CuckooInserter(self, PhaseSpan::begin(PhaseKind::Insert))
+    fn insert(&self, e: E) {
+        CuckooHashTable::insert(self, e)
     }
-
-    fn begin_delete(&mut self) -> CuckooDeleter<'_, E> {
-        CuckooDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
+    fn delete(&self, key: E) {
+        CuckooHashTable::delete(self, key)
     }
-
-    fn begin_read(&mut self) -> CuckooReader<'_, E> {
-        CuckooReader(self, PhaseSpan::begin(PhaseKind::Read))
+    fn find(&self, key: E) -> Option<E> {
+        CuckooHashTable::find(self, key)
     }
-
-    fn elements(&mut self) -> Vec<E> {
+    fn pack(&self) -> Vec<E> {
         CuckooHashTable::elements(self)
     }
 }

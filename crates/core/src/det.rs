@@ -30,6 +30,18 @@
 //! the forward distance from its hash bucket to its current cell —
 //! valid because clusters are shorter than the table (the table must
 //! not become full, a precondition the paper also imposes).
+//!
+//! ## One engine for two tables
+//!
+//! The insert, find and delete bodies are free functions over *stored*
+//! reprs, generic over [`ProbeCore`], and Robin Hood
+//! ([`crate::robinhood`]) runs through them too: the history-
+//! independence proof needs only a home function and a total priority
+//! order with ⊥ lowest. The bodies reach a table only through
+//! `ProbeCore` — the home slot of a stored repr, the stored forwarding
+//! marker and the swap counter are where the two tables differ. The
+//! scalar bodies are the reference semantics the wide bodies, and the
+//! tier differentials, are checked against.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::marker::PhantomData;
@@ -38,9 +50,7 @@ use std::sync::atomic::Ordering;
 use crate::batch::ProbeCore;
 use crate::cell::{AtomOf, CellAtomic};
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::phase::PhaseHashTable;
 use crate::resize::FlatTableCore;
 use crate::simd::Kernel;
 
@@ -105,11 +115,6 @@ impl<E: HashEntry> DetHashTable<E> {
         crate::batch::snapshot(&self.cells)
     }
 
-    #[inline]
-    fn slot(&self, hash: u64) -> usize {
-        (hash as usize) & self.mask
-    }
-
     /// Inserts an entry (Figure 1, `INSERT`). Safe to call from any
     /// number of threads during an insert phase.
     ///
@@ -139,214 +144,6 @@ impl<E: HashEntry> DetHashTable<E> {
             "the forwarding sentinel is not insertable"
         );
         FlatTableCore::insert_counted(self, e)
-    }
-
-    /// The scalar insert loop: the reference semantics every tier's
-    /// wide insert must reproduce.
-    fn try_insert_scalar(&self, mut v: u64) -> Result<bool, u64> {
-        let mut i = self.slot(E::hash(v));
-        let mut steps = 0usize;
-        let mut cas_fails = 0usize;
-        let mut swaps = 0usize;
-        let result = loop {
-            let c = self.cells[i].load(Ordering::Acquire);
-            if c == E::FORWARD {
-                // This cell was claimed by a migration sweep: the epoch
-                // is retiring and the entry (if any) now lives in the
-                // successor. Hand the carried repr back so the caller
-                // re-homes it there. Checked before any key
-                // interpretation — `FORWARD` is not a valid repr and
-                // pointer entries would dereference it.
-                phc_obs::probe!(count ForwardedProbes);
-                break Err(v);
-            }
-            if E::same_key(c, v) {
-                // Duplicate key: converge on the combined value.
-                let merged = E::combine(c, v);
-                if merged == c {
-                    break Ok(false);
-                }
-                if self.cells[i]
-                    .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break Ok(false);
-                }
-                cas_fails += 1;
-                continue; // cell changed under us; re-read
-            }
-            if E::cmp_priority(c, v) == CmpOrdering::Greater {
-                i = (i + 1) & self.mask;
-                steps += 1;
-                if steps > self.cells.len() {
-                    break Err(v);
-                }
-            } else {
-                // `c` has strictly lower priority than `v` (possibly ⊥):
-                // try to take the cell and carry `c` onward.
-                if self.cells[i]
-                    .compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    if c == E::EMPTY {
-                        break Ok(true);
-                    }
-                    swaps += 1;
-                    v = c;
-                    i = (i + 1) & self.mask;
-                    steps += 1;
-                    if steps > self.cells.len() {
-                        break Err(v);
-                    }
-                } else {
-                    // On CAS failure, retry the same cell: its priority
-                    // can only have increased, so the comparison re-runs.
-                    cas_fails += 1;
-                }
-            }
-        };
-        phc_obs::probe!(count ProbeSteps, steps);
-        phc_obs::probe!(count InsertCasFail, cas_fails);
-        phc_obs::probe!(count PrioritySwap, swaps);
-        phc_obs::probe!(hist ProbeLen, steps);
-        phc_obs::probe!(hist CasRetries, cas_fails);
-        result
-    }
-
-    /// Wide-scan insert: a speculative `scan_le` skips the cells that
-    /// outrank `v` in one compare per lane, then the candidate is
-    /// confirmed with the exact per-cell atomic loop of the scalar
-    /// path. Skipping on a racy wide load is sound because cell
-    /// priorities only *rise* during an insert phase (an insert CAS
-    /// replaces a cell with a higher-priority key; `combine` keeps the
-    /// key), so "this lane outranks `v`" can never be invalidated. The
-    /// converse can: a candidate whose priority rose after the scan
-    /// sampled it is a counted misspeculation that re-scans one cell
-    /// further on — which is also exactly what the scalar loop would do
-    /// on its next look at that cell.
-    ///
-    /// Written once over the bound kernel `k`; [`crate::simd::dispatch`]
-    /// resolves the tier once per operation or batch, so the probe loop
-    /// pays no per-window dispatch.
-    #[inline(always)]
-    fn try_insert_repr_wide_with<K: Kernel>(
-        &self,
-        mut v: u64,
-        key_mask: u64,
-        k: K,
-    ) -> Result<bool, u64> {
-        let n = self.cells.len();
-        let mut i = self.slot(E::hash(v));
-        let mut steps = 0usize;
-        let mut cas_fails = 0usize;
-        let mut swaps = 0usize;
-        let mut lanes_total = 0usize;
-        let mut misspecs = 0usize;
-        let result = 'outer: loop {
-            let thr = v & key_mask;
-            // Fast path: at moderate loads the cell under the cursor
-            // usually decides the insert by itself (empty, same key, or
-            // lower priority), so peek it scalar before paying for the
-            // wide-scan setup. The peek is also what makes the
-            // post-displacement `continue 'outer` cheap.
-            let peek = self.cells[i].load(Ordering::Acquire);
-            let (j, mut c) = if peek & key_mask <= thr {
-                lanes_total += 1;
-                (i, peek)
-            } else {
-                let (hit, lanes) = k.scan_le_wrapping(&self.cells, i, key_mask, thr);
-                lanes_total += lanes;
-                match hit {
-                    Some(h) => h,
-                    None => {
-                        // Every cell outranks `v`: the table is full of
-                        // higher-priority keys.
-                        steps = n + 1;
-                        break 'outer Err(v);
-                    }
-                }
-            };
-            steps += self.dist(i, j);
-            if steps > n {
-                break 'outer Err(v);
-            }
-            i = j;
-            // Per-cell atomic confirm — the scalar probe body pinned at
-            // the candidate cell, seeded with the value the scan already
-            // observed there: the first CAS attempt reuses the loaded
-            // window instead of re-loading the cell, and a failed CAS
-            // hands back the current value, so the loop never issues a
-            // separate re-load either.
-            loop {
-                if c == E::FORWARD {
-                    // Claimed by a migration sweep (also reachable via
-                    // the CAS-failure re-read below): divert to the
-                    // successor. Must precede `same_key` — `FORWARD`
-                    // masks to the key mask, so a max-key probe would
-                    // otherwise "match" it.
-                    phc_obs::probe!(count ForwardedProbes);
-                    break 'outer Err(v);
-                }
-                if E::same_key(c, v) {
-                    let merged = E::combine(c, v);
-                    if merged == c {
-                        break 'outer Ok(false);
-                    }
-                    match self.cells[i].compare_exchange(
-                        c,
-                        merged,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break 'outer Ok(false),
-                        Err(cur) => {
-                            cas_fails += 1;
-                            c = cur; // cell changed under us; re-check
-                            continue;
-                        }
-                    }
-                }
-                if E::cmp_priority(c, v) == CmpOrdering::Greater {
-                    // Misspeculation: a concurrent insert raised this
-                    // cell above `v` after the wide scan sampled it.
-                    misspecs += 1;
-                    i = (i + 1) & self.mask;
-                    steps += 1;
-                    if steps > n {
-                        break 'outer Err(v);
-                    }
-                    continue 'outer;
-                }
-                match self.cells[i].compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => {
-                        if c == E::EMPTY {
-                            break 'outer Ok(true);
-                        }
-                        swaps += 1;
-                        v = c;
-                        i = (i + 1) & self.mask;
-                        steps += 1;
-                        if steps > n {
-                            break 'outer Err(v);
-                        }
-                        continue 'outer;
-                    }
-                    Err(cur) => {
-                        cas_fails += 1;
-                        c = cur;
-                    }
-                }
-            }
-        };
-        phc_obs::probe!(count ProbeSteps, steps);
-        phc_obs::probe!(count InsertCasFail, cas_fails);
-        phc_obs::probe!(count PrioritySwap, swaps);
-        phc_obs::probe!(count SimdLanesScanned, lanes_total);
-        phc_obs::probe!(count SimdMisspeculations, misspecs);
-        phc_obs::probe!(hist ProbeLen, steps);
-        phc_obs::probe!(hist CasRetries, cas_fails);
-        phc_obs::probe!(hist SimdLanesPerProbe, lanes_total);
-        result
     }
 
     /// Inserts a batch of entries with software prefetching: before
@@ -387,92 +184,11 @@ impl<E: HashEntry> DetHashTable<E> {
         crate::batch::par_chunked_map(keys, |c| self.find_batch(c))
     }
 
-    /// The scalar lookup loop (reference semantics).
-    fn find_scalar(&self, probe: u64) -> Option<u64> {
-        let mut i = self.slot(E::hash(probe));
-        let mut steps = 0usize;
-        let result = 'scan: {
-            // Guard against a (mis-used) full table of higher-priority
-            // keys.
-            for _ in 0..=self.cells.len() {
-                let c = self.cells[i].load(Ordering::Acquire);
-                if c == E::EMPTY {
-                    break 'scan None;
-                }
-                if c == E::FORWARD {
-                    // Defensive: reads are quiescent (migrations drain
-                    // before a read phase), so a forwarded cell should
-                    // be unreachable here; treat it as absent-in-this-
-                    // epoch rather than interpreting the sentinel.
-                    phc_obs::probe!(count ForwardedProbes);
-                    break 'scan None;
-                }
-                if E::same_key(c, probe) {
-                    break 'scan Some(c);
-                }
-                if E::cmp_priority(c, probe) == CmpOrdering::Less {
-                    // Keys on the probe path are priority-sorted: a
-                    // lower priority cell means `probe` cannot be
-                    // further on.
-                    break 'scan None;
-                }
-                i = (i + 1) & self.mask;
-                steps += 1;
-            }
-            None
-        };
-        phc_obs::probe!(count FindProbeSteps, steps);
-        result
-    }
-
-    /// Wide-scan find. Under the
-    /// [`SIMD_KEY_MASK`](HashEntry::SIMD_KEY_MASK) contract the whole
-    /// prioritized stop condition collapses to one unsigned compare:
-    /// the first cell whose masked repr is `<=` the probe's masked repr
-    /// is either an exact key match (equal) or proof of absence (empty
-    /// or lower priority) — exactly where the scalar loop stops. Find
-    /// phases are quiescent, so the wide loads race with nothing and
-    /// the result is byte-identical to the scalar path.
-    #[inline(always)]
-    fn find_repr_wide_with<K: Kernel>(&self, probe: u64, key_mask: u64, k: K) -> Option<u64> {
-        let n = self.cells.len();
-        let home = self.slot(E::hash(probe));
-        let thr = probe & key_mask;
-        let (hit, lanes) = k.scan_le_wrapping(&self.cells, home, key_mask, thr);
-        phc_obs::probe!(count SimdLanesScanned, lanes);
-        phc_obs::probe!(hist SimdLanesPerProbe, lanes);
-        match hit {
-            // The kernel hands back the stop lane's value from its
-            // already-loaded window; read phases are quiescent, so it
-            // equals what a re-load would return.
-            Some((j, c)) => {
-                phc_obs::probe!(count FindProbeSteps, self.dist(home, j));
-                if c == E::FORWARD {
-                    // Defensive (reads are quiescent): the sentinel
-                    // masks to the key mask, so a max-key probe could
-                    // stop on it — never interpret it as an entry.
-                    phc_obs::probe!(count ForwardedProbes);
-                    None
-                } else if E::same_key(c, probe) {
-                    Some(c)
-                } else {
-                    None
-                }
-            }
-            None => {
-                // No cell anywhere is <= the probe: a (mis-used) full
-                // table of higher-priority keys, the scalar guard case.
-                phc_obs::probe!(count FindProbeSteps, n + 1);
-                None
-            }
-        }
-    }
-
     /// Deletes the entry whose key equals `key`'s key part (Figure 1,
     /// `DELETE`). A no-op if absent. Safe to call from any number of
     /// threads during a delete phase.
     pub fn delete(&self, key: E) {
-        self.delete_repr(key.to_repr());
+        delete_repr(self, key.to_repr());
     }
 
     /// Like [`delete`](Self::delete), but returns `true` iff the call
@@ -481,7 +197,7 @@ impl<E: HashEntry> DetHashTable<E> {
     /// removed across all threads), mirroring
     /// [`insert_counted`](Self::insert_counted).
     pub fn delete_counted(&self, key: E) -> bool {
-        self.delete_repr(key.to_repr())
+        delete_repr(self, key.to_repr())
     }
 
     /// Deletes a batch of keys with software prefetching of upcoming
@@ -501,82 +217,6 @@ impl<E: HashEntry> DetHashTable<E> {
     /// layout equals that of any other deletion of the same set.
     pub fn par_delete_batched(&self, keys: &[E]) {
         crate::batch::par_chunked(keys, |c| self.delete_batch(c))
-    }
-
-    #[inline]
-    pub(crate) fn delete_repr(&self, probe: u64) -> bool {
-        debug_assert_ne!(probe, E::EMPTY);
-        let m = self.cells.len();
-        // Virtual indices: base the walk at `m + bucket` so `k` can
-        // step below `i` without underflow.
-        let mut i = m + self.slot(E::hash(probe));
-        let mut k = i;
-        // Lines 27-29: walk forward past higher-priority cells to land
-        // at or past the last copy of the key.
-        loop {
-            let c = self.load_at(k);
-            if c == E::FORWARD {
-                // Defensive: the resizer gates migration sweeps on
-                // delete quiescence, so a delete never races a sweep.
-                // Stop the walk rather than interpret the sentinel.
-                phc_obs::probe!(count ForwardedProbes);
-                break;
-            }
-            if c == E::EMPTY || E::cmp_priority(probe, c) != CmpOrdering::Less {
-                break;
-            }
-            k += 1;
-        }
-        // `v` is what we are currently responsible for deleting. The
-        // paper carries keys; carrying full reprs is equivalent because
-        // a key occupies at most one distinct cell value, and the CAS
-        // needs the exact loaded repr anyway.
-        let mut v = probe;
-        let mut steps = 0usize;
-        // Lines 30-41.
-        let result = loop {
-            if k < i {
-                break false;
-            }
-            steps += 1;
-            let c = self.load_at(k);
-            if c == E::FORWARD {
-                // Defensive (see the walk-up loop): never a valid key.
-                phc_obs::probe!(count ForwardedProbes);
-                k -= 1;
-                continue;
-            }
-            if c == E::EMPTY || !E::same_key(c, v) {
-                k -= 1;
-                continue;
-            }
-            let (j, vprime) = self.find_replacement(k);
-            if self.cas_at(k, c, vprime) {
-                if vprime != E::EMPTY {
-                    // A second copy of `vprime` now exists at `k`; we
-                    // are responsible for deleting the one at `j`.
-                    v = vprime;
-                    k = j;
-                    i = self.lift_home(vprime, j);
-                } else {
-                    break true;
-                }
-            } else {
-                // Someone else changed the cell: the copy we were
-                // chasing can only have moved to a lower index (deletes
-                // move entries down). Step back and keep looking.
-                k -= 1;
-            }
-        };
-        phc_obs::probe!(count DeleteProbeSteps, steps);
-        result
-    }
-
-    /// Figure 1, `FINDREPLACEMENT(i)`: returns `(j, v')` where `v'` is
-    /// the entry that may legally fill the hole at virtual index `i`
-    /// (or ⊥), and `j` is its (virtual) location.
-    fn find_replacement(&self, i: usize) -> (usize, u64) {
-        crate::batch::find_replacement(self, i)
     }
 
     /// Packs the non-empty cells into a vector in cell order (paper §4,
@@ -609,8 +249,8 @@ impl<E: HashEntry> DetHashTable<E> {
     }
 
     /// Claims every cell in `range` (clamped to the capacity) for
-    /// migration: atomically swaps each cell to the [`FORWARD`]
-    /// (HashEntry::FORWARD) sentinel and appends the displaced
+    /// migration: atomically swaps each cell to the
+    /// [`FORWARD`](HashEntry::FORWARD) sentinel and appends the displaced
     /// non-empty reprs to `out`, in cell order.
     ///
     /// This is the sweep primitive of the freeze-free resizer
@@ -662,27 +302,27 @@ impl<E: HashEntry> ProbeCore for DetHashTable<E> {
     }
     #[inline]
     fn home(&self, v: u64) -> usize {
-        self.slot(E::hash(v))
+        (E::hash(v) as usize) & self.mask
     }
     #[inline]
     fn insert_scalar(&self, v: u64, _tok: u64) -> Result<bool, u64> {
-        self.try_insert_scalar(v)
+        try_insert_scalar(self, v)
     }
     #[inline(always)]
     fn insert_wide<K: Kernel>(&self, v: u64, _tok: u64, k: K) -> Result<bool, u64> {
-        self.try_insert_repr_wide_with(v, crate::batch::wide_key_mask::<E>(), k)
+        try_insert_repr_wide_with(self, v, crate::batch::wide_key_mask::<E>(), k)
     }
     #[inline]
     fn find_scalar(&self, v: u64) -> Option<u64> {
-        DetHashTable::find_scalar(self, v)
+        find_scalar(self, v)
     }
     #[inline(always)]
     fn find_wide<K: Kernel>(&self, v: u64, k: K) -> Option<u64> {
-        self.find_repr_wide_with(v, crate::batch::wide_key_mask::<E>(), k)
+        find_repr_wide_with(self, v, crate::batch::wide_key_mask::<E>(), k)
     }
     #[inline]
     fn delete(&self, v: u64, _tok: u64) -> bool {
-        self.delete_repr(v)
+        delete_repr(self, v)
     }
     #[inline]
     fn filled(fill: bool) -> bool {
@@ -690,106 +330,416 @@ impl<E: HashEntry> ProbeCore for DetHashTable<E> {
     }
 }
 
-/// Insert-phase handle (see [`crate::phase`]). The embedded
-/// [`PhaseSpan`] brackets the phase on the observability timeline.
-pub struct DetInserter<'t, E: HashEntry>(&'t DetHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Delete-phase handle.
-pub struct DetDeleter<'t, E: HashEntry>(&'t DetHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Read-phase handle.
-pub struct DetReader<'t, E: HashEntry>(&'t DetHashTable<E>, #[allow(dead_code)] PhaseSpan);
-
-impl<E: HashEntry> ConcurrentInsert<E> for DetInserter<'_, E> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry> DetInserter<'_, E> {
-    /// Batched prefetching insert (see [`DetHashTable::insert_batch`]).
-    pub fn insert_batch(&self, entries: &[E]) {
-        self.0.insert_batch(entries);
-    }
-    /// Parallel batched insert (see [`DetHashTable::par_insert_batched`]).
-    pub fn par_insert_batched(&self, entries: &[E]) {
-        self.0.par_insert_batched(entries);
-    }
-}
-impl<E: HashEntry> ConcurrentDelete<E> for DetDeleter<'_, E> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry> DetDeleter<'_, E> {
-    /// Batched prefetching delete (see [`DetHashTable::delete_batch`]).
-    pub fn delete_batch(&self, keys: &[E]) {
-        self.0.delete_batch(keys);
-    }
-    /// Parallel batched delete (see [`DetHashTable::par_delete_batched`]).
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        self.0.par_delete_batched(keys);
-    }
-}
-impl<E: HashEntry> ConcurrentRead<E> for DetReader<'_, E> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-impl<E: HashEntry> DetReader<'_, E> {
-    /// Packs the table contents (allowed in the read phase).
-    pub fn elements(&self) -> Vec<E> {
-        self.0.elements()
-    }
-    /// Batched prefetching lookup (see [`DetHashTable::find_batch`]).
-    pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.0.find_batch(keys)
-    }
-    /// Parallel batched lookup (see [`DetHashTable::par_find_batched`]).
-    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.0.par_find_batched(keys)
-    }
-}
-
 impl<E: HashEntry> PhaseHashTable<E> for DetHashTable<E> {
-    type Inserter<'t>
-        = DetInserter<'t, E>
-    where
-        E: 't;
-    type Deleter<'t>
-        = DetDeleter<'t, E>
-    where
-        E: 't;
-    type Reader<'t>
-        = DetReader<'t, E>
-    where
-        E: 't;
-
     const NAME: &'static str = "linearHash-D";
 
     fn new_pow2(log2_size: u32) -> Self {
         DetHashTable::new_pow2(log2_size)
     }
-
     fn capacity(&self) -> usize {
         self.capacity()
     }
-
-    fn begin_insert(&mut self) -> DetInserter<'_, E> {
-        DetInserter(self, PhaseSpan::begin(PhaseKind::Insert))
+    fn insert(&self, e: E) {
+        DetHashTable::insert(self, e)
     }
-
-    fn begin_delete(&mut self) -> DetDeleter<'_, E> {
-        DetDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
+    fn delete(&self, key: E) {
+        DetHashTable::delete(self, key)
     }
-
-    fn begin_read(&mut self) -> DetReader<'_, E> {
-        DetReader(self, PhaseSpan::begin(PhaseKind::Read))
+    fn find(&self, key: E) -> Option<E> {
+        DetHashTable::find(self, key)
     }
-
-    fn elements(&mut self) -> Vec<E> {
+    fn pack(&self) -> Vec<E> {
         DetHashTable::elements(self)
     }
+    fn insert_batch(&self, entries: &[E]) {
+        DetHashTable::insert_batch(self, entries)
+    }
+    fn delete_batch(&self, keys: &[E]) {
+        DetHashTable::delete_batch(self, keys)
+    }
+    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
+        DetHashTable::find_batch(self, keys)
+    }
+}
+
+// ----------------------------------------------------------------------
+// The prioritized-probe engine (see the module docs)
+// ----------------------------------------------------------------------
+
+/// The scalar insert loop on a stored repr: the reference semantics
+/// every tier's wide insert must reproduce. `Ok(filled)` is the fill
+/// credit; `Err(carried)` hands back the stored repr left homeless
+/// when the probe wrapped a full table or met a forwarding marker.
+pub(crate) fn try_insert_scalar<E: HashEntry, T: ProbeCore<Entry = E>>(
+    t: &T,
+    mut v: u64,
+) -> Result<bool, u64> {
+    let cells = t.cells();
+    let mask = cells.len() - 1;
+    let fwd = t.stored_forward();
+    let mut i = t.stored_home(v);
+    let mut steps = 0usize;
+    let mut cas_fails = 0usize;
+    let mut swaps = 0usize;
+    let result = loop {
+        let c = cells[i].load(Ordering::Acquire);
+        if c == fwd {
+            // This cell was claimed by a migration sweep: the epoch
+            // is retiring and the entry (if any) now lives in the
+            // successor. Hand the carried repr back so the caller
+            // re-homes it there. Checked before any key
+            // interpretation — the marker is no entry: pointer entries
+            // would dereference it, and its bits carry no rank.
+            phc_obs::probe!(count ForwardedProbes);
+            break Err(v);
+        }
+        if E::same_key(c, v) {
+            // Duplicate key: converge on the combined value.
+            let merged = E::combine(c, v);
+            if merged == c {
+                break Ok(false);
+            }
+            if cells[i]
+                .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                break Ok(false);
+            }
+            cas_fails += 1;
+            continue; // cell changed under us; re-read
+        }
+        if E::cmp_priority(c, v) == CmpOrdering::Greater {
+            i = (i + 1) & mask;
+            steps += 1;
+            if steps > cells.len() {
+                break Err(v);
+            }
+        } else {
+            // `c` has strictly lower priority than `v` (possibly ⊥):
+            // try to take the cell and carry `c` onward.
+            if cells[i]
+                .compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                if c == E::EMPTY {
+                    break Ok(true);
+                }
+                swaps += 1;
+                v = c;
+                i = (i + 1) & mask;
+                steps += 1;
+                if steps > cells.len() {
+                    break Err(v);
+                }
+            } else {
+                // On CAS failure, retry the same cell: its priority
+                // can only have increased, so the comparison re-runs.
+                cas_fails += 1;
+            }
+        }
+    };
+    phc_obs::probe!(count ProbeSteps, steps);
+    phc_obs::probe!(count InsertCasFail, cas_fails);
+    phc_obs::Recorder::global().count(T::SWAP_COUNTER, swaps as u64);
+    phc_obs::probe!(hist ProbeLen, steps);
+    phc_obs::probe!(hist CasRetries, cas_fails);
+    result
+}
+
+/// Wide-scan insert: a speculative `scan_le` skips the cells that
+/// outrank `v` in one compare per lane, then the candidate is
+/// confirmed with the exact per-cell atomic loop of the scalar path.
+/// Skipping on a racy wide load is sound because cell priorities only
+/// *rise* during an insert phase (an insert CAS replaces a cell with a
+/// higher-priority key; `combine` keeps the key), so "this lane
+/// outranks `v`" can never be invalidated. The converse can: a
+/// candidate whose priority rose after the scan sampled it is a
+/// counted misspeculation that re-scans one cell further on — which
+/// is also exactly what the scalar loop would do on its next look at
+/// that cell.
+///
+/// Written once over the bound kernel `k`; [`crate::simd::dispatch`]
+/// resolves the tier once per operation or batch, so the probe loop
+/// pays no per-window dispatch.
+#[inline(always)]
+pub(crate) fn try_insert_repr_wide_with<E: HashEntry, T: ProbeCore<Entry = E>, K: Kernel>(
+    t: &T,
+    mut v: u64,
+    key_mask: u64,
+    k: K,
+) -> Result<bool, u64> {
+    let cells = t.cells();
+    let (n, mask) = (cells.len(), cells.len() - 1);
+    let fwd = t.stored_forward();
+    let mut i = t.stored_home(v);
+    let mut steps = 0usize;
+    let mut cas_fails = 0usize;
+    let mut swaps = 0usize;
+    let mut lanes_total = 0usize;
+    let mut misspecs = 0usize;
+    let result = 'outer: loop {
+        let thr = v & key_mask;
+        // Fast path: at moderate loads the cell under the cursor
+        // usually decides the insert by itself (empty, same key, or
+        // lower priority), so peek it scalar before paying for the
+        // wide-scan setup. The peek is also what makes the
+        // post-displacement `continue 'outer` cheap.
+        let peek = cells[i].load(Ordering::Acquire);
+        let (j, mut c) = if peek & key_mask <= thr {
+            lanes_total += 1;
+            (i, peek)
+        } else {
+            let (hit, lanes) = k.scan_le_wrapping(cells, i, key_mask, thr);
+            lanes_total += lanes;
+            match hit {
+                Some(h) => h,
+                None => {
+                    // Every cell outranks `v`: the table is full of
+                    // higher-priority keys.
+                    steps = n + 1;
+                    break 'outer Err(v);
+                }
+            }
+        };
+        steps += t.dist(i, j);
+        if steps > n {
+            break 'outer Err(v);
+        }
+        i = j;
+        // Per-cell atomic confirm — the scalar probe body pinned at
+        // the candidate cell, seeded with the value the scan already
+        // observed there: the first CAS attempt reuses the loaded
+        // window instead of re-loading the cell, and a failed CAS
+        // hands back the current value, so the loop never issues a
+        // separate re-load either.
+        loop {
+            if c == fwd {
+                // Claimed by a migration sweep (also reachable via
+                // the CAS-failure re-read below): divert to the
+                // successor. Must precede `same_key` — the marker may
+                // mask to the probe's key bits, so a probe could
+                // otherwise "match" it.
+                phc_obs::probe!(count ForwardedProbes);
+                break 'outer Err(v);
+            }
+            if E::same_key(c, v) {
+                let merged = E::combine(c, v);
+                if merged == c {
+                    break 'outer Ok(false);
+                }
+                match cells[i].compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(_) => break 'outer Ok(false),
+                    Err(cur) => {
+                        cas_fails += 1;
+                        c = cur; // cell changed under us; re-check
+                        continue;
+                    }
+                }
+            }
+            if E::cmp_priority(c, v) == CmpOrdering::Greater {
+                // Misspeculation: a concurrent insert raised this
+                // cell above `v` after the wide scan sampled it.
+                misspecs += 1;
+                i = (i + 1) & mask;
+                steps += 1;
+                if steps > n {
+                    break 'outer Err(v);
+                }
+                continue 'outer;
+            }
+            match cells[i].compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => {
+                    if c == E::EMPTY {
+                        break 'outer Ok(true);
+                    }
+                    swaps += 1;
+                    v = c;
+                    i = (i + 1) & mask;
+                    steps += 1;
+                    if steps > n {
+                        break 'outer Err(v);
+                    }
+                    continue 'outer;
+                }
+                Err(cur) => {
+                    cas_fails += 1;
+                    c = cur;
+                }
+            }
+        }
+    };
+    phc_obs::probe!(count ProbeSteps, steps);
+    phc_obs::probe!(count InsertCasFail, cas_fails);
+    phc_obs::Recorder::global().count(T::SWAP_COUNTER, swaps as u64);
+    phc_obs::probe!(count SimdLanesScanned, lanes_total);
+    phc_obs::probe!(count SimdMisspeculations, misspecs);
+    phc_obs::probe!(hist ProbeLen, steps);
+    phc_obs::probe!(hist CasRetries, cas_fails);
+    phc_obs::probe!(hist SimdLanesPerProbe, lanes_total);
+    result
+}
+
+/// The scalar lookup loop on a stored repr (Figure 1, `FIND`; the
+/// reference semantics), returning the matched stored cell value.
+pub(crate) fn find_scalar<E: HashEntry, T: ProbeCore<Entry = E>>(t: &T, probe: u64) -> Option<u64> {
+    let cells = t.cells();
+    let mask = cells.len() - 1;
+    let fwd = t.stored_forward();
+    let mut i = t.stored_home(probe);
+    let mut steps = 0usize;
+    let result = 'scan: {
+        // Guard against a (mis-used) full table of higher-priority
+        // keys.
+        for _ in 0..=cells.len() {
+            let c = cells[i].load(Ordering::Acquire);
+            if c == E::EMPTY {
+                break 'scan None;
+            }
+            if c == fwd {
+                // Defensive: reads are quiescent (migrations drain
+                // before a read phase), so a forwarded cell should
+                // be unreachable here; treat it as absent-in-this-
+                // epoch rather than interpreting the sentinel.
+                phc_obs::probe!(count ForwardedProbes);
+                break 'scan None;
+            }
+            if E::same_key(c, probe) {
+                break 'scan Some(c);
+            }
+            if E::cmp_priority(c, probe) == CmpOrdering::Less {
+                // Keys on the probe path are priority-sorted: a
+                // lower priority cell means `probe` cannot be
+                // further on.
+                break 'scan None;
+            }
+            i = (i + 1) & mask;
+            steps += 1;
+        }
+        None
+    };
+    phc_obs::probe!(count FindProbeSteps, steps);
+    result
+}
+
+/// Wide-scan find. Under the
+/// [`SIMD_KEY_MASK`](HashEntry::SIMD_KEY_MASK) contract the whole
+/// prioritized stop condition collapses to one unsigned compare: the
+/// first cell whose masked repr is `<=` the probe's masked repr is
+/// either an exact key match (equal) or proof of absence (empty or
+/// lower priority) — exactly where the scalar loop stops. Find phases
+/// are quiescent, so the wide loads race with nothing and the result
+/// is byte-identical to the scalar path.
+#[inline(always)]
+pub(crate) fn find_repr_wide_with<E: HashEntry, T: ProbeCore<Entry = E>, K: Kernel>(
+    t: &T,
+    probe: u64,
+    key_mask: u64,
+    k: K,
+) -> Option<u64> {
+    let cells = t.cells();
+    let home = t.stored_home(probe);
+    let thr = probe & key_mask;
+    let (hit, lanes) = k.scan_le_wrapping(cells, home, key_mask, thr);
+    phc_obs::probe!(count SimdLanesScanned, lanes);
+    phc_obs::probe!(hist SimdLanesPerProbe, lanes);
+    match hit {
+        // The kernel hands back the stop lane's value from its
+        // already-loaded window; read phases are quiescent, so it
+        // equals what a re-load would return.
+        Some((j, c)) => {
+            phc_obs::probe!(count FindProbeSteps, t.dist(home, j));
+            if c == t.stored_forward() {
+                // Defensive (reads are quiescent): the marker may mask
+                // to the probe's key bits, so a probe could stop on it
+                // — never interpret it as an entry.
+                phc_obs::probe!(count ForwardedProbes);
+                None
+            } else if E::same_key(c, probe) {
+                Some(c)
+            } else {
+                None
+            }
+        }
+        None => {
+            // No cell anywhere is <= the probe: a (mis-used) full
+            // table of higher-priority keys, the scalar guard case.
+            phc_obs::probe!(count FindProbeSteps, cells.len() + 1);
+            None
+        }
+    }
+}
+
+/// Deletes the key of the stored repr `probe` (Figure 1, `DELETE`),
+/// returning `true` iff this call performed the final store of ⊥ that
+/// shrank the table.
+#[inline]
+pub(crate) fn delete_repr<E: HashEntry, T: ProbeCore<Entry = E>>(t: &T, probe: u64) -> bool {
+    debug_assert_ne!(probe, E::EMPTY);
+    let fwd = t.stored_forward();
+    // Virtual indices: base the walk at `m + bucket` so `k` can
+    // step below `i` without underflow.
+    let mut i = t.cells().len() + t.stored_home(probe);
+    let mut k = i;
+    // Lines 27-29: walk forward past higher-priority cells to land
+    // at or past the last copy of the key.
+    loop {
+        let c = t.load_at(k);
+        if c == fwd {
+            // Defensive: the resizer gates migration sweeps on
+            // delete quiescence, so a delete never races a sweep.
+            // Stop the walk rather than interpret the sentinel.
+            phc_obs::probe!(count ForwardedProbes);
+            break;
+        }
+        if c == E::EMPTY || E::cmp_priority(probe, c) != CmpOrdering::Less {
+            break;
+        }
+        k += 1;
+    }
+    // `v` is what we are currently responsible for deleting. The
+    // paper carries keys; carrying full reprs is equivalent because
+    // a key occupies at most one distinct cell value, and the CAS
+    // needs the exact loaded repr anyway.
+    let mut v = probe;
+    let mut steps = 0usize;
+    // Lines 30-41.
+    let result = loop {
+        if k < i {
+            break false;
+        }
+        steps += 1;
+        let c = t.load_at(k);
+        if c == fwd {
+            // Defensive (see the walk-up loop): never a valid key.
+            phc_obs::probe!(count ForwardedProbes);
+            k -= 1;
+            continue;
+        }
+        if c == E::EMPTY || !E::same_key(c, v) {
+            k -= 1;
+            continue;
+        }
+        // Figure 1, `FINDREPLACEMENT(k)`.
+        let (j, vprime) = crate::batch::find_replacement(t, k);
+        if t.cas_at(k, c, vprime) {
+            if vprime != E::EMPTY {
+                // A second copy of `vprime` now exists at `k`; we
+                // are responsible for deleting the one at `j`.
+                v = vprime;
+                k = j;
+                i = t.lift_home(vprime, j);
+            } else {
+                break true;
+            }
+        } else {
+            // Someone else changed the cell: the copy we were
+            // chasing can only have moved to a lower index (deletes
+            // move entries down). Step back and keep looking.
+            k -= 1;
+        }
+    };
+    phc_obs::probe!(count DeleteProbeSteps, steps);
+    result
 }
 
 #[cfg(test)]

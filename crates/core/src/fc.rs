@@ -80,9 +80,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::batch::ProbeCore;
 use crate::cell::{AtomOf, CellAtomic};
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::phase::PhaseHashTable;
 use crate::resize::FlatTableCore;
 use crate::simd::Kernel;
 
@@ -1239,109 +1237,35 @@ impl<E: HashEntry> crate::simd::TierOp<FcHashTable<E>> for SpecFind<'_, E> {
     }
 }
 
-/// Insert handle for the phase API ([`crate::phase`]). fc needs no
-/// phase discipline — the handle exists so the uniform contract tests
-/// and benchmarks drive fc through the same trait as every other
-/// table; the span only brackets the observability timeline.
-pub struct FcInserter<'t, E: HashEntry>(&'t FcHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Delete handle (see [`FcInserter`]).
-pub struct FcDeleter<'t, E: HashEntry>(&'t FcHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Read handle (see [`FcInserter`]).
-pub struct FcReader<'t, E: HashEntry>(&'t FcHashTable<E>, #[allow(dead_code)] PhaseSpan);
-
-impl<E: HashEntry> ConcurrentInsert<E> for FcInserter<'_, E> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry> FcInserter<'_, E> {
-    /// Batched prefetching insert (see [`FcHashTable::insert_batch`]).
-    pub fn insert_batch(&self, entries: &[E]) {
-        self.0.insert_batch(entries);
-    }
-    /// Parallel batched insert (see
-    /// [`FcHashTable::par_insert_batched`]).
-    pub fn par_insert_batched(&self, entries: &[E]) {
-        self.0.par_insert_batched(entries);
-    }
-}
-impl<E: HashEntry> ConcurrentDelete<E> for FcDeleter<'_, E> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry> FcDeleter<'_, E> {
-    /// Batched prefetching delete (see [`FcHashTable::delete_batch`]).
-    pub fn delete_batch(&self, keys: &[E]) {
-        self.0.delete_batch(keys);
-    }
-    /// Parallel batched delete (see
-    /// [`FcHashTable::par_delete_batched`]).
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        self.0.par_delete_batched(keys);
-    }
-}
-impl<E: HashEntry> ConcurrentRead<E> for FcReader<'_, E> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-impl<E: HashEntry> FcReader<'_, E> {
-    /// Packs the table contents.
-    pub fn elements(&self) -> Vec<E> {
-        self.0.elements()
-    }
-    /// Batched prefetching lookup (see [`FcHashTable::find_batch`]).
-    pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.0.find_batch(keys)
-    }
-    /// Parallel batched lookup (see [`FcHashTable::par_find_batched`]).
-    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.0.par_find_batched(keys)
-    }
-}
-
 impl<E: HashEntry> PhaseHashTable<E> for FcHashTable<E> {
-    type Inserter<'t>
-        = FcInserter<'t, E>
-    where
-        E: 't;
-    type Deleter<'t>
-        = FcDeleter<'t, E>
-    where
-        E: 't;
-    type Reader<'t>
-        = FcReader<'t, E>
-    where
-        E: 't;
-
     const NAME: &'static str = "linearHash-FC";
 
     fn new_pow2(log2_size: u32) -> Self {
         FcHashTable::new_pow2(log2_size)
     }
-
     fn capacity(&self) -> usize {
         self.capacity()
     }
-
-    fn begin_insert(&mut self) -> FcInserter<'_, E> {
-        FcInserter(self, PhaseSpan::begin(PhaseKind::Insert))
+    fn insert(&self, e: E) {
+        FcHashTable::insert(self, e)
     }
-
-    fn begin_delete(&mut self) -> FcDeleter<'_, E> {
-        FcDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
+    fn delete(&self, key: E) {
+        FcHashTable::delete(self, key)
     }
-
-    fn begin_read(&mut self) -> FcReader<'_, E> {
-        FcReader(self, PhaseSpan::begin(PhaseKind::Read))
+    fn find(&self, key: E) -> Option<E> {
+        FcHashTable::find(self, key)
     }
-
-    fn elements(&mut self) -> Vec<E> {
+    fn pack(&self) -> Vec<E> {
         FcHashTable::elements(self)
+    }
+    fn insert_batch(&self, entries: &[E]) {
+        FcHashTable::insert_batch(self, entries)
+    }
+    fn delete_batch(&self, keys: &[E]) {
+        FcHashTable::delete_batch(self, keys)
+    }
+    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
+        FcHashTable::find_batch(self, keys)
     }
 }
 
@@ -1515,7 +1439,7 @@ mod tests {
 
     #[test]
     fn phase_api_contract() {
-        use crate::phase::PhaseHashTable as _;
+        use crate::phase::{ConcurrentRead, PhaseHashTable as _};
         let mut t: FcHashTable<U64Key> = FcHashTable::new_pow2(8);
         {
             let ins = t.begin_insert();

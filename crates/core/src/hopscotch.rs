@@ -26,9 +26,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::phase::PhaseHashTable;
 
 /// Neighborhood size (machine word of hop bits, as the original
 /// suggests).
@@ -363,78 +361,25 @@ enum HopResult {
     NoCandidate,
 }
 
-/// Insert-phase handle.
-pub struct HopscotchInserter<'t, E: HashEntry>(
-    &'t HopscotchHashTable<E>,
-    #[allow(dead_code)] PhaseSpan,
-);
-/// Delete-phase handle.
-pub struct HopscotchDeleter<'t, E: HashEntry>(
-    &'t HopscotchHashTable<E>,
-    #[allow(dead_code)] PhaseSpan,
-);
-/// Read-phase handle.
-pub struct HopscotchReader<'t, E: HashEntry>(
-    &'t HopscotchHashTable<E>,
-    #[allow(dead_code)] PhaseSpan,
-);
-
-impl<E: HashEntry> ConcurrentInsert<E> for HopscotchInserter<'_, E> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry> ConcurrentDelete<E> for HopscotchDeleter<'_, E> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry> ConcurrentRead<E> for HopscotchReader<'_, E> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-
 impl<E: HashEntry> PhaseHashTable<E> for HopscotchHashTable<E> {
-    type Inserter<'t>
-        = HopscotchInserter<'t, E>
-    where
-        E: 't;
-    type Deleter<'t>
-        = HopscotchDeleter<'t, E>
-    where
-        E: 't;
-    type Reader<'t>
-        = HopscotchReader<'t, E>
-    where
-        E: 't;
-
     const NAME: &'static str = "hopscotchHash";
 
     fn new_pow2(log2_size: u32) -> Self {
         HopscotchHashTable::new_pow2(log2_size)
     }
-
     fn capacity(&self) -> usize {
         self.capacity()
     }
-
-    fn begin_insert(&mut self) -> HopscotchInserter<'_, E> {
-        HopscotchInserter(self, PhaseSpan::begin(PhaseKind::Insert))
+    fn insert(&self, e: E) {
+        HopscotchHashTable::insert(self, e)
     }
-
-    fn begin_delete(&mut self) -> HopscotchDeleter<'_, E> {
-        HopscotchDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
+    fn delete(&self, key: E) {
+        HopscotchHashTable::delete(self, key)
     }
-
-    fn begin_read(&mut self) -> HopscotchReader<'_, E> {
-        HopscotchReader(self, PhaseSpan::begin(PhaseKind::Read))
+    fn find(&self, key: E) -> Option<E> {
+        HopscotchHashTable::find(self, key)
     }
-
-    fn elements(&mut self) -> Vec<E> {
+    fn pack(&self) -> Vec<E> {
         HopscotchHashTable::elements(self)
     }
 }

@@ -22,12 +22,17 @@
 //! | [`RobinHoodHashTable`] | `robinHood` | SIMD-native displacement-ordered contender (see [`robinhood`]) |
 //! | [`FcHashTable`] | `linearHash-FC` | fully concurrent, history-independent at quiescence (see [`fc`]) |
 //!
-//! Phase discipline is enforced by the type system: see [`phase`].
+//! Phase discipline is enforced by the type system: see [`phase`],
+//! whose three generic handles ([`Inserter`], [`Deleter`], [`Reader`])
+//! serve every table.
 //!
-//! The flat tables share their plumbing: each writes its probe loops
+//! The flat tables share their plumbing: each probe loop is written
 //! once — a scalar reference form plus a wide form generic over a
 //! [`simd::Kernel`] — and [`simd::dispatch`] binds the SIMD tier once
-//! per operation or batch; the prefetching batch loops, grain
+//! per operation or batch. linearHash-D's prioritized-probe bodies
+//! ([`det`]) are generic over [`batch::ProbeCore`] and also run Robin
+//! Hood, which differs only in its home rule, stored forwarding marker,
+//! key encoding and swap counter. The prefetching batch loops, grain
 //! chunking and `elements` packing live once in [`batch`]. Growth is
 //! [`ResizableTable`] over any [`FlatTableCore`], and
 //! [`AutoPhaseGrowTable`] is the one room-synchronized wrapper on top
@@ -66,7 +71,8 @@ pub use fc::FcHashTable;
 pub use hopscotch::HopscotchHashTable;
 pub use nd::NdHashTable;
 pub use phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
+    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, Deleter, Inserter, PhaseHashTable,
+    PhaseKind, PhaseSpan, Reader,
 };
 pub use priority_write::{
     write_max, write_max_u32, write_max_usize, write_min, write_min_u32, write_min_usize,

@@ -24,9 +24,7 @@ use std::sync::atomic::Ordering;
 use crate::batch::ProbeCore;
 use crate::cell::{AtomOf, CellAtomic};
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::phase::PhaseHashTable;
 use crate::simd::Kernel;
 
 /// Debug-build phase-discipline check shared by every ND operation:
@@ -523,80 +521,35 @@ impl<E: HashEntry> ProbeCore for NdHashTable<E> {
     }
 }
 
-/// Insert-phase handle.
-pub struct NdInserter<'t, E: HashEntry>(&'t NdHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Delete-phase handle.
-pub struct NdDeleter<'t, E: HashEntry>(&'t NdHashTable<E>, #[allow(dead_code)] PhaseSpan);
-/// Read-phase handle.
-pub struct NdReader<'t, E: HashEntry>(&'t NdHashTable<E>, #[allow(dead_code)] PhaseSpan);
-
-impl<E: HashEntry> ConcurrentInsert<E> for NdInserter<'_, E> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry> ConcurrentDelete<E> for NdDeleter<'_, E> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry> NdDeleter<'_, E> {
-    /// Batched prefetching delete (see [`NdHashTable::delete_batch`]).
-    pub fn delete_batch(&self, keys: &[E]) {
-        self.0.delete_batch(keys);
-    }
-    /// Parallel batched delete (see [`NdHashTable::par_delete_batched`]).
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        self.0.par_delete_batched(keys);
-    }
-}
-impl<E: HashEntry> ConcurrentRead<E> for NdReader<'_, E> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-
 impl<E: HashEntry> PhaseHashTable<E> for NdHashTable<E> {
-    type Inserter<'t>
-        = NdInserter<'t, E>
-    where
-        E: 't;
-    type Deleter<'t>
-        = NdDeleter<'t, E>
-    where
-        E: 't;
-    type Reader<'t>
-        = NdReader<'t, E>
-    where
-        E: 't;
-
     const NAME: &'static str = "linearHash-ND";
 
     fn new_pow2(log2_size: u32) -> Self {
         NdHashTable::new_pow2(log2_size)
     }
-
     fn capacity(&self) -> usize {
         self.capacity()
     }
-
-    fn begin_insert(&mut self) -> NdInserter<'_, E> {
-        NdInserter(self, PhaseSpan::begin(PhaseKind::Insert))
+    fn insert(&self, e: E) {
+        NdHashTable::insert(self, e)
     }
-
-    fn begin_delete(&mut self) -> NdDeleter<'_, E> {
-        NdDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
+    fn delete(&self, key: E) {
+        NdHashTable::delete(self, key)
     }
-
-    fn begin_read(&mut self) -> NdReader<'_, E> {
-        NdReader(self, PhaseSpan::begin(PhaseKind::Read))
+    fn find(&self, key: E) -> Option<E> {
+        NdHashTable::find(self, key)
     }
-
-    fn elements(&mut self) -> Vec<E> {
+    fn pack(&self) -> Vec<E> {
         NdHashTable::elements(self)
+    }
+    fn insert_batch(&self, entries: &[E]) {
+        NdHashTable::insert_batch(self, entries)
+    }
+    fn delete_batch(&self, keys: &[E]) {
+        NdHashTable::delete_batch(self, keys)
+    }
+    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
+        NdHashTable::find_batch(self, keys)
     }
 }
 

@@ -100,12 +100,10 @@ use crate::batch::ProbeCore;
 use crate::cell::AtomOf;
 use crate::det::DetHashTable;
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::phase::PhaseHashTable;
 
 /// The fixed-capacity flat-table surface the growth machinery builds
-/// on: everything an [`Epoch`] (cooperative migration) and the room
+/// on: everything an `Epoch` (cooperative migration) and the room
 /// wrapper ([`crate::rooms::AutoPhaseGrowTable`]) need from a backing
 /// table. The open-addressing cores — the deterministic
 /// linear-probing table, the Robin Hood table
@@ -1029,95 +1027,47 @@ impl<E: HashEntry, T: FlatTableCore<E>> Drop for ResizableTable<E, T> {
     }
 }
 
-/// Insert-phase handle for [`ResizableTable`] (see [`crate::phase`]).
-pub struct ResizableInserter<'t, E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>>(
-    &'t ResizableTable<E, T>,
-    #[allow(dead_code)] PhaseSpan,
-);
-/// Delete-phase handle.
-pub struct ResizableDeleter<'t, E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>>(
-    &'t ResizableTable<E, T>,
-    #[allow(dead_code)] PhaseSpan,
-);
-/// Read-phase handle.
-pub struct ResizableReader<'t, E: HashEntry, T: FlatTableCore<E> = DetHashTable<E>>(
-    &'t ResizableTable<E, T>,
-    #[allow(dead_code)] PhaseSpan,
-);
-
-impl<E: HashEntry, T: FlatTableCore<E>> ConcurrentInsert<E> for ResizableInserter<'_, E, T> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry, T: FlatTableCore<E>> ConcurrentDelete<E> for ResizableDeleter<'_, E, T> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry, T: FlatTableCore<E>> ConcurrentRead<E> for ResizableReader<'_, E, T> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-impl<E: HashEntry, T: FlatTableCore<E>> ResizableReader<'_, E, T> {
-    /// Packs the table contents (allowed in the read phase).
-    pub fn elements(&self) -> Vec<E> {
-        self.0.elements()
-    }
-}
-
 impl<E: HashEntry, T: FlatTableCore<E>> PhaseHashTable<E> for ResizableTable<E, T> {
-    type Inserter<'t>
-        = ResizableInserter<'t, E, T>
-    where
-        E: 't,
-        T: 't;
-    type Deleter<'t>
-        = ResizableDeleter<'t, E, T>
-    where
-        E: 't,
-        T: 't;
-    type Reader<'t>
-        = ResizableReader<'t, E, T>
-    where
-        E: 't,
-        T: 't;
-
     const NAME: &'static str = T::GROW_NAME;
 
     fn new_pow2(log2_size: u32) -> Self {
         ResizableTable::new_pow2(log2_size)
     }
-
     fn capacity(&self) -> usize {
         self.current_epoch().table.capacity()
     }
-
+    fn insert(&self, e: E) {
+        ResizableTable::insert(self, e)
+    }
+    fn delete(&self, key: E) {
+        ResizableTable::delete(self, key)
+    }
+    fn find(&self, key: E) -> Option<E> {
+        ResizableTable::find(self, key)
+    }
+    fn pack(&self) -> Vec<E> {
+        ResizableTable::elements(self)
+    }
+    fn insert_batch(&self, entries: &[E]) {
+        ResizableTable::insert_batch(self, entries)
+    }
+    fn delete_batch(&self, keys: &[E]) {
+        ResizableTable::delete_batch(self, keys)
+    }
+    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
+        ResizableTable::find_batch(self, keys)
+    }
+    fn par_delete_batched(&self, keys: &[E]) {
+        ResizableTable::par_delete_batched(self, keys)
+    }
+    fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
+        ResizableTable::par_find_batched(self, keys)
+    }
     // Every phase transition normalizes: leaving an insert phase
     // through `begin_*`/`elements` lands on the canonical capacity, so
     // generic phase-discipline code sees deterministic snapshots.
-    fn begin_insert(&mut self) -> ResizableInserter<'_, E, T> {
+    fn enter_phase(&mut self) {
         self.normalize();
-        ResizableInserter(self, PhaseSpan::begin(PhaseKind::Insert))
-    }
-
-    fn begin_delete(&mut self) -> ResizableDeleter<'_, E, T> {
-        self.normalize();
-        ResizableDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
-    }
-
-    fn begin_read(&mut self) -> ResizableReader<'_, E, T> {
-        self.normalize();
-        ResizableReader(self, PhaseSpan::begin(PhaseKind::Read))
-    }
-
-    fn elements(&mut self) -> Vec<E> {
-        self.normalize();
-        ResizableTable::elements(self)
     }
 }
 

@@ -6,7 +6,8 @@
 //! formulation compares *displacements*; this table reaches the same
 //! layout through a priority trick that makes the displacement rule
 //! coincide with the deterministic table's ordering invariant — and
-//! therefore with the one-compare-per-lane [`scan_le`] stop condition:
+//! therefore with the one-compare-per-lane
+//! [`scan_le`](crate::simd::scan_le) stop condition:
 //!
 //! * Every stored repr has its key field passed through a **bijective,
 //!   zero-fixing mixer** (an invertible xorshift-multiply chain on the
@@ -34,6 +35,18 @@
 //! kernel the deterministic table uses. There is no per-cell
 //! displacement arithmetic anywhere on the hot path.
 //!
+//! ## One engine
+//!
+//! This module defines no probe loop. Insert, find and delete *are* the
+//! deterministic table's bodies ([`crate::det`]'s prioritized-probe
+//! engine, generic over [`ProbeCore`]), run on transformed reprs: the
+//! `ProbeCore` adapters mix the key field on the way in and un-mix
+//! carried or found reprs on the way out. The two tables differ only
+//! in the home of a stored repr ([`ProbeCore::stored_home`]: the mixed
+//! complement, not a hash), the stored forwarding marker
+//! ([`ProbeCore::stored_forward`]), that encoding at the boundary, and
+//! the swap counter (`robinhood_shifts` instead of `priority_swap`).
+//!
 //! ## Entry-type requirements
 //!
 //! The construction needs the key field to be maskable and the mixer to
@@ -49,12 +62,13 @@
 //! [`U64Key`](crate::entry::U64Key) and [`KvPair`](crate::entry::KvPair)
 //! qualify; pointer entries ([`StrRef`](crate::entry::StrRef)) do not.
 //!
-//! `E::hash` and `E::cmp_priority` are **never** called here — slotting
-//! and priority both come from the masked mixed bits. `E::combine` *is*
+//! `E::hash` is **never** called here — slotting comes from the masked
+//! mixed bits. `E::same_key`, `E::cmp_priority` and `E::combine` *are*
 //! called on transformed reprs, which is sound because the
-//! `SIMD_KEY_MASK` contract makes key identity a pure function of the
-//! masked bits (identical for both operands when `combine` runs) and
-//! `combine` only produces new value bits, which are untransformed.
+//! `SIMD_KEY_MASK` contract makes key identity and priority pure
+//! functions of the masked bits (so on mixed reprs they are the masked
+//! compares, and the mixer's bijectivity keeps distinct keys distinct)
+//! and `combine` only produces new value bits, which are untransformed.
 //! Reprs are un-mixed before any `E::from_repr` (find results,
 //! `elements`, migration), so callers only ever see original entries.
 //! [`snapshot`](RobinHoodHashTable::snapshot) returns the raw
@@ -62,14 +76,11 @@
 //! equality remains the strongest determinism check.
 
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering;
 
 use crate::batch::ProbeCore;
-use crate::cell::{AtomOf, CellAtomic, CellWord};
+use crate::cell::{AtomOf, CellWord};
 use crate::entry::HashEntry;
-use crate::phase::{
-    ConcurrentDelete, ConcurrentInsert, ConcurrentRead, PhaseHashTable, PhaseKind, PhaseSpan,
-};
+use crate::phase::PhaseHashTable;
 use crate::resize::FlatTableCore;
 use crate::simd::Kernel;
 
@@ -203,7 +214,6 @@ impl Mixer {
 /// ```
 pub struct RobinHoodHashTable<E: HashEntry> {
     cells: Box<[AtomOf<E::Repr>]>,
-    mask: usize,
     /// `E::SIMD_KEY_MASK`, cached (construction proves it exists).
     key_mask: u64,
     /// `Repr::BITS - log2(capacity)`: the home bucket is
@@ -250,7 +260,6 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
         let cells = crate::cell::new_cells::<E::Repr>(n, E::EMPTY);
         RobinHoodHashTable {
             cells,
-            mask: n - 1,
             key_mask,
             home_shift: bits - log2_size,
             mixer: Mixer::for_key_mask(key_mask, bits),
@@ -298,18 +307,6 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
         (m.unmix(t >> m.tz) << m.tz) | (t & !self.key_mask)
     }
 
-    /// The *stored-form* forwarding marker: `transform(E::FORWARD)`.
-    /// Cells hold mixed key fields, so the raw all-ones word is not the
-    /// right sentinel here — the mixer could legitimately map some key
-    /// to it. The transform is a bijection on the whole cell word and
-    /// valid entries never have repr `E::FORWARD`, so this is the
-    /// unique stored word no live entry can occupy; it is also nonzero
-    /// (only 0 mixes to 0), so it can never be mistaken for ⊥.
-    #[inline]
-    fn forward_marker(&self) -> u64 {
-        self.transform(E::FORWARD)
-    }
-
     /// Home bucket of a transformed repr: the top `log2(capacity)` bits
     /// of the complement of its masked value, taken within the cell
     /// width (`!t & key_mask` confines the complement to the key field,
@@ -341,215 +338,6 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// for exact load accounting.
     pub fn insert_counted(&self, e: E) -> bool {
         FlatTableCore::insert_counted(self, e)
-    }
-
-    /// Prioritized insert on a transformed repr. Identical control flow
-    /// to `DetHashTable`'s scalar insert, with the priority order and
-    /// key identity both read off the masked bits (the `SIMD_KEY_MASK`
-    /// contract collapses `same_key` / `cmp_priority` to masked
-    /// equality / unsigned masked compare; the mixer's bijectivity
-    /// keeps distinct keys distinct). Displacement swaps are counted as
-    /// `robinhood_shifts`.
-    fn try_insert_t(&self, mut v: u64) -> Result<bool, u64> {
-        debug_assert_ne!(v & self.key_mask, 0);
-        let key_mask = self.key_mask;
-        let fwd = self.forward_marker();
-        let mut i = self.slot(v);
-        let mut steps = 0usize;
-        let mut cas_fails = 0usize;
-        let mut shifts = 0usize;
-        let result = loop {
-            let thr = v & key_mask;
-            let c = self.cells[i].load(Ordering::Acquire);
-            if c == fwd {
-                // Forwarded cell: this region is being migrated. The
-                // marker's mixed bits carry no rank, so neither the
-                // displacement rule nor `combine` may touch it — hand
-                // the carry back for the successor table.
-                phc_obs::probe!(count ForwardedProbes);
-                break Err(v);
-            }
-            let cm = c & key_mask;
-            if cm == thr {
-                // Same key (`thr != 0` rules out empty): converge on
-                // the combined value.
-                let merged = E::combine(c, v);
-                if merged == c {
-                    break Ok(false);
-                }
-                if self.cells[i]
-                    .compare_exchange(c, merged, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break Ok(false);
-                }
-                cas_fails += 1;
-                continue; // cell changed under us; re-read
-            }
-            if cm > thr {
-                // The cell's entry is at least as close to its home as
-                // we are to ours (richer or home-tied-higher): probe on.
-                i = (i + 1) & self.mask;
-                steps += 1;
-                if steps > self.cells.len() {
-                    break Err(v);
-                }
-            } else {
-                // Strictly poorer (or empty): steal the slot and carry
-                // the displaced entry onward — the Robin Hood swap.
-                if self.cells[i]
-                    .compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    if c == E::EMPTY {
-                        break Ok(true);
-                    }
-                    shifts += 1;
-                    v = c;
-                    i = (i + 1) & self.mask;
-                    steps += 1;
-                    if steps > self.cells.len() {
-                        break Err(v);
-                    }
-                } else {
-                    // On CAS failure, retry the same cell: its masked
-                    // value can only have risen, so the comparison
-                    // re-runs.
-                    cas_fails += 1;
-                }
-            }
-        };
-        phc_obs::probe!(count ProbeSteps, steps);
-        phc_obs::probe!(count InsertCasFail, cas_fails);
-        phc_obs::probe!(count RobinHoodShifts, shifts);
-        phc_obs::probe!(hist ProbeLen, steps);
-        phc_obs::probe!(hist CasRetries, cas_fails);
-        result
-    }
-
-    /// Wide-scan insert: one `scan_le` per window finds the first cell
-    /// no richer than `v`, then the candidate is confirmed with the
-    /// exact per-cell atomic loop, with the kernel bound once per
-    /// operation or batch as in the deterministic table's insert fast
-    /// path. The speculation is
-    /// sound for the same reason as there: masked cell values only
-    /// *rise* during an insert phase, so "this lane outranks `v`" can
-    /// never be invalidated, and a candidate that rose after the scan
-    /// sampled it is a counted misspeculation that re-scans one cell
-    /// further on.
-    ///
-    /// The body is generic over the bound scan kernel (the
-    /// Robin Hood analogue of
-    /// `DetHashTable::try_insert_repr_wide_with`; the confirm loop is
-    /// seeded with the value the scan observed, so no cell is re-loaded
-    /// between scan and first CAS).
-    #[inline(always)]
-    fn try_insert_t_wide_with<K: Kernel>(&self, mut v: u64, k: K) -> Result<bool, u64> {
-        let key_mask = self.key_mask;
-        let n = self.cells.len();
-        let fwd = self.forward_marker();
-        let mut i = self.slot(v);
-        let mut steps = 0usize;
-        let mut cas_fails = 0usize;
-        let mut shifts = 0usize;
-        let mut lanes_total = 0usize;
-        let mut misspecs = 0usize;
-        let result = 'outer: loop {
-            let thr = v & key_mask;
-            // Scalar peek of the cursor cell first: at moderate loads it
-            // usually decides the insert by itself and makes the
-            // post-displacement `continue 'outer` cheap.
-            let peek = self.cells[i].load(Ordering::Acquire);
-            let (j, mut c) = if peek & key_mask <= thr {
-                lanes_total += 1;
-                (i, peek)
-            } else {
-                let (hit, lanes) = k.scan_le_wrapping(&self.cells, i, key_mask, thr);
-                lanes_total += lanes;
-                match hit {
-                    Some(h) => h,
-                    None => {
-                        // Every cell outranks `v`: the table is full of
-                        // richer keys.
-                        steps = n + 1;
-                        break 'outer Err(v);
-                    }
-                }
-            };
-            steps += self.dist(i, j);
-            if steps > n {
-                break 'outer Err(v);
-            }
-            i = j;
-            loop {
-                // Checked at the loop top so the CAS-failure re-read
-                // path (`c = cur`) is covered too: a forwarded cell
-                // must never be combined with or displaced.
-                if c == fwd {
-                    phc_obs::probe!(count ForwardedProbes);
-                    break 'outer Err(v);
-                }
-                let cm = c & key_mask;
-                if cm == thr {
-                    let merged = E::combine(c, v);
-                    if merged == c {
-                        break 'outer Ok(false);
-                    }
-                    match self.cells[i].compare_exchange(
-                        c,
-                        merged,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => break 'outer Ok(false),
-                        Err(cur) => {
-                            cas_fails += 1;
-                            c = cur; // cell changed under us; re-check
-                            continue;
-                        }
-                    }
-                }
-                if cm > thr {
-                    // Misspeculation: a concurrent insert enriched this
-                    // cell after the wide scan sampled it.
-                    misspecs += 1;
-                    i = (i + 1) & self.mask;
-                    steps += 1;
-                    if steps > n {
-                        break 'outer Err(v);
-                    }
-                    continue 'outer;
-                }
-                match self.cells[i].compare_exchange(c, v, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => {
-                        if c == E::EMPTY {
-                            break 'outer Ok(true);
-                        }
-                        shifts += 1;
-                        v = c;
-                        i = (i + 1) & self.mask;
-                        steps += 1;
-                        if steps > n {
-                            break 'outer Err(v);
-                        }
-                        continue 'outer;
-                    }
-                    Err(cur) => {
-                        cas_fails += 1;
-                        c = cur;
-                    }
-                }
-            }
-        };
-        phc_obs::probe!(count ProbeSteps, steps);
-        phc_obs::probe!(count InsertCasFail, cas_fails);
-        phc_obs::probe!(count RobinHoodShifts, shifts);
-        phc_obs::probe!(count SimdLanesScanned, lanes_total);
-        phc_obs::probe!(count SimdMisspeculations, misspecs);
-        phc_obs::probe!(hist ProbeLen, steps);
-        phc_obs::probe!(hist CasRetries, cas_fails);
-        phc_obs::probe!(hist SimdLanesPerProbe, lanes_total);
-        result
     }
 
     /// Inserts a batch of entries with software prefetching and
@@ -596,87 +384,11 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
         crate::batch::par_chunked_map(keys, |c| self.find_batch(c))
     }
 
-    /// Lookup on a transformed repr, returning the stored (transformed)
-    /// cell value.
-    fn find_t(&self, t: u64) -> Option<u64> {
-        debug_assert_ne!(t & self.key_mask, 0);
-        let key_mask = self.key_mask;
-        let fwd = self.forward_marker();
-        let thr = t & key_mask;
-        let mut i = self.slot(t);
-        let mut steps = 0usize;
-        let result = 'scan: {
-            // Guard against a (mis-used) full table of richer keys.
-            for _ in 0..=self.cells.len() {
-                let c = self.cells[i].load(Ordering::Acquire);
-                if c == fwd {
-                    // Forwarded: the key, if present, lives in the
-                    // successor table. Report absence here and let the
-                    // epoch chain fall through.
-                    phc_obs::probe!(count ForwardedProbes);
-                    break 'scan None;
-                }
-                let cm = c & key_mask;
-                if cm == thr {
-                    break 'scan Some(c);
-                }
-                if cm < thr {
-                    // First cell no richer than the probe (possibly
-                    // empty): by the Robin Hood layout, `t` cannot be
-                    // further on.
-                    break 'scan None;
-                }
-                i = (i + 1) & self.mask;
-                steps += 1;
-            }
-            None
-        };
-        phc_obs::probe!(count FindProbeSteps, steps);
-        result
-    }
-
-    /// Wide-scan find: the whole Robin Hood stop condition is one
-    /// unsigned masked compare, so the first `scan_le` hit is either
-    /// the key (equal) or proof of absence (empty or poorer). Read
-    /// phases are quiescent, so the wide loads race with nothing.
-    ///
-    /// The body is generic over the bound scan kernel. The hit
-    /// value comes from the kernel's already-loaded window (read phases
-    /// are quiescent, so it equals what a re-load would return).
-    #[inline(always)]
-    fn find_t_wide_with<K: Kernel>(&self, t: u64, k: K) -> Option<u64> {
-        let n = self.cells.len();
-        let home = self.slot(t);
-        let key_mask = self.key_mask;
-        let thr = t & key_mask;
-        let (hit, lanes) = k.scan_le_wrapping(&self.cells, home, key_mask, thr);
-        phc_obs::probe!(count SimdLanesScanned, lanes);
-        phc_obs::probe!(hist SimdLanesPerProbe, lanes);
-        match hit {
-            Some((j, c)) => {
-                phc_obs::probe!(count FindProbeSteps, self.dist(home, j));
-                if c == self.forward_marker() {
-                    // Forwarded cell: defer to the successor table.
-                    phc_obs::probe!(count ForwardedProbes);
-                    None
-                } else if c & self.key_mask == thr {
-                    Some(c)
-                } else {
-                    None
-                }
-            }
-            None => {
-                phc_obs::probe!(count FindProbeSteps, n + 1);
-                None
-            }
-        }
-    }
-
     /// Deletes the entry whose key equals `key`'s key part. A no-op if
     /// absent. Safe to call from any number of threads during a delete
     /// phase.
     pub fn delete(&self, key: E) {
-        self.delete_t(self.transform(key.to_repr()));
+        self.delete_counted(key);
     }
 
     /// Like [`delete`](Self::delete), but returns `true` iff the call
@@ -684,90 +396,7 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
     /// net-removed-element credit, mirroring
     /// [`insert_counted`](Self::insert_counted).
     pub fn delete_counted(&self, key: E) -> bool {
-        self.delete_t(self.transform(key.to_repr()))
-    }
-
-    /// Backward-replacement delete on a transformed repr — the
-    /// deterministic table's delete verbatim, with home buckets and key
-    /// identity read off the masked mixed bits.
-    fn delete_t(&self, probe: u64) -> bool {
-        debug_assert_ne!(probe & self.key_mask, 0);
-        let m = self.cells.len();
-        let key_mask = self.key_mask;
-        let fwd = self.forward_marker();
-        let thr = probe & key_mask;
-        // Virtual indices: base the walk at `m + bucket` so `k` can
-        // step below `i` without underflow.
-        let mut i = m + self.slot(probe);
-        let mut k = i;
-        // Walk forward past richer cells to land at or past the last
-        // possible position of the key.
-        loop {
-            let c = self.load_at(k);
-            if c == fwd {
-                // Forwarded cell: the migration claim has passed this
-                // point, so the key (if it existed here) now lives in
-                // the successor. Stop the walk; deletes never race
-                // migration (the resizer gates them), so this is a
-                // defensive bound, not a hot branch.
-                phc_obs::probe!(count ForwardedProbes);
-                break;
-            }
-            if c == E::EMPTY || thr >= c & key_mask {
-                break;
-            }
-            k += 1;
-        }
-        // `vm` is the masked value we are currently responsible for
-        // deleting (a key occupies at most one distinct masked value).
-        let mut vm = thr;
-        let mut steps = 0usize;
-        let result = loop {
-            if k < i {
-                break false;
-            }
-            steps += 1;
-            let c = self.load_at(k);
-            if c == fwd {
-                // Never combine the forwarding marker's mixed bits
-                // with a key comparison; skip past it.
-                phc_obs::probe!(count ForwardedProbes);
-                k -= 1;
-                continue;
-            }
-            if c & key_mask != vm {
-                // Empty or a different key: keep walking down.
-                k -= 1;
-                continue;
-            }
-            let (j, vprime) = self.find_replacement(k);
-            if self.cas_at(k, c, vprime) {
-                if vprime != E::EMPTY {
-                    // A second copy of `vprime` now exists at `k`; we
-                    // are responsible for deleting the one at `j`.
-                    vm = vprime & key_mask;
-                    k = j;
-                    i = self.lift_home(vprime, j);
-                } else {
-                    break true;
-                }
-            } else {
-                // Someone else changed the cell: the copy we were
-                // chasing can only have moved to a lower index (deletes
-                // move entries down). Step back and keep looking.
-                k -= 1;
-            }
-        };
-        phc_obs::probe!(count DeleteProbeSteps, steps);
-        result
-    }
-
-    /// Returns `(j, v')` where `v'` is the entry that may legally fill
-    /// the hole at virtual index `i` (or ⊥), and `j` is its (virtual)
-    /// location — `DetHashTable::find_replacement` with the Robin Hood
-    /// home rule.
-    fn find_replacement(&self, i: usize) -> (usize, u64) {
-        crate::batch::find_replacement(self, i)
+        crate::det::delete_repr(self, self.transform(key.to_repr()))
     }
 
     /// Packs the stored entries into a vector in cell order via the
@@ -796,7 +425,7 @@ impl<E: HashEntry> RobinHoodHashTable<E> {
 
     /// Atomically claims every cell in the range for migration: each
     /// cell is swapped to the stored-form forwarding marker
-    /// ([`forward_marker`](Self::forward_marker)) and its prior
+    /// ([`ProbeCore::stored_forward`]) and its prior
     /// occupant, *un-mixed* back to an original repr, is appended to
     /// `out` in cell order. See `DetHashTable::claim_range_forward`
     /// for the conservation argument; the swap/CAS race is identical
@@ -868,6 +497,7 @@ impl<E: HashEntry> ProbeCore for RobinHoodHashTable<E> {
     const TYPE_NAME: &'static str = "RobinHoodHashTable";
     // Construction proves the key mask exists.
     const WIDE: bool = true;
+    const SWAP_COUNTER: phc_obs::Counter = phc_obs::Counter::RobinHoodShifts;
 
     #[inline]
     fn cells(&self) -> &[AtomOf<E::Repr>] {
@@ -877,28 +507,32 @@ impl<E: HashEntry> ProbeCore for RobinHoodHashTable<E> {
     fn home(&self, v: u64) -> usize {
         self.slot(self.transform(v))
     }
+    // The home rule reads the stored (mixed) value directly.
+    #[inline]
+    fn stored_home(&self, t: u64) -> usize {
+        self.slot(t)
+    }
     #[inline]
     fn insert_scalar(&self, v: u64, _tok: u64) -> Result<bool, u64> {
-        self.try_insert_t(self.transform(v))
-            .map_err(|t| self.untransform(t))
+        crate::det::try_insert_scalar(self, self.transform(v)).map_err(|t| self.untransform(t))
     }
     #[inline(always)]
     fn insert_wide<K: Kernel>(&self, v: u64, _tok: u64, k: K) -> Result<bool, u64> {
-        self.try_insert_t_wide_with(self.transform(v), k)
+        crate::det::try_insert_repr_wide_with(self, self.transform(v), self.key_mask, k)
             .map_err(|t| self.untransform(t))
     }
     #[inline]
     fn find_scalar(&self, v: u64) -> Option<u64> {
-        self.find_t(self.transform(v)).map(|c| self.recover(v, c))
+        crate::det::find_scalar(self, self.transform(v)).map(|c| self.recover(v, c))
     }
     #[inline(always)]
     fn find_wide<K: Kernel>(&self, v: u64, k: K) -> Option<u64> {
-        self.find_t_wide_with(self.transform(v), k)
+        crate::det::find_repr_wide_with(self, self.transform(v), self.key_mask, k)
             .map(|c| self.recover(v, c))
     }
     #[inline]
     fn delete(&self, v: u64, _tok: u64) -> bool {
-        self.delete_t(self.transform(v))
+        crate::det::delete_repr(self, self.transform(v))
     }
     #[inline]
     fn filled(fill: bool) -> bool {
@@ -908,128 +542,48 @@ impl<E: HashEntry> ProbeCore for RobinHoodHashTable<E> {
     fn unstore(&self, c: u64) -> u64 {
         self.untransform(c)
     }
+    /// `transform(E::FORWARD)`. Cells hold mixed key fields, so the raw
+    /// all-ones word is not the right sentinel here — the mixer could
+    /// legitimately map some key to it. The transform is a bijection
+    /// on the whole cell word and valid entries never have repr
+    /// `E::FORWARD`, so this is the unique stored word no live entry
+    /// can occupy; it is also nonzero (only 0 mixes to 0), so it can
+    /// never be mistaken for ⊥.
     #[inline]
     fn stored_forward(&self) -> u64 {
-        self.forward_marker()
-    }
-    // The home rule reads the stored (mixed) value directly.
-    #[inline]
-    fn lift_home(&self, t: u64, at: usize) -> usize {
-        at - self.dist(self.slot(t), at & self.mask)
-    }
-}
-
-/// Insert-phase handle (see [`crate::phase`]). The embedded
-/// [`PhaseSpan`] brackets the phase on the observability timeline.
-pub struct RobinHoodInserter<'t, E: HashEntry>(
-    &'t RobinHoodHashTable<E>,
-    #[allow(dead_code)] PhaseSpan,
-);
-/// Delete-phase handle.
-pub struct RobinHoodDeleter<'t, E: HashEntry>(
-    &'t RobinHoodHashTable<E>,
-    #[allow(dead_code)] PhaseSpan,
-);
-/// Read-phase handle.
-pub struct RobinHoodReader<'t, E: HashEntry>(
-    &'t RobinHoodHashTable<E>,
-    #[allow(dead_code)] PhaseSpan,
-);
-
-impl<E: HashEntry> ConcurrentInsert<E> for RobinHoodInserter<'_, E> {
-    #[inline]
-    fn insert(&self, e: E) {
-        self.0.insert(e);
-    }
-}
-impl<E: HashEntry> RobinHoodInserter<'_, E> {
-    /// Batched prefetching insert (see
-    /// [`RobinHoodHashTable::insert_batch`]).
-    pub fn insert_batch(&self, entries: &[E]) {
-        self.0.insert_batch(entries);
-    }
-    /// Parallel batched insert (see
-    /// [`RobinHoodHashTable::par_insert_batched`]).
-    pub fn par_insert_batched(&self, entries: &[E]) {
-        self.0.par_insert_batched(entries);
-    }
-}
-impl<E: HashEntry> ConcurrentDelete<E> for RobinHoodDeleter<'_, E> {
-    #[inline]
-    fn delete(&self, key: E) {
-        self.0.delete(key);
-    }
-}
-impl<E: HashEntry> RobinHoodDeleter<'_, E> {
-    /// Batched prefetching delete.
-    pub fn delete_batch(&self, keys: &[E]) {
-        crate::batch::delete_batch(self.0, keys)
-    }
-    /// Parallel batched delete.
-    pub fn par_delete_batched(&self, keys: &[E]) {
-        crate::batch::par_chunked(keys, |c| self.delete_batch(c))
-    }
-}
-impl<E: HashEntry> ConcurrentRead<E> for RobinHoodReader<'_, E> {
-    #[inline]
-    fn find(&self, key: E) -> Option<E> {
-        self.0.find(key)
-    }
-}
-impl<E: HashEntry> RobinHoodReader<'_, E> {
-    /// Packs the table contents (allowed in the read phase).
-    pub fn elements(&self) -> Vec<E> {
-        self.0.elements()
-    }
-    /// Batched prefetching lookup (see
-    /// [`RobinHoodHashTable::find_batch`]).
-    pub fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.0.find_batch(keys)
-    }
-    /// Parallel batched lookup.
-    pub fn par_find_batched(&self, keys: &[E]) -> Vec<Option<E>> {
-        self.0.par_find_batched(keys)
+        self.transform(E::FORWARD)
     }
 }
 
 impl<E: HashEntry> PhaseHashTable<E> for RobinHoodHashTable<E> {
-    type Inserter<'t>
-        = RobinHoodInserter<'t, E>
-    where
-        E: 't;
-    type Deleter<'t>
-        = RobinHoodDeleter<'t, E>
-    where
-        E: 't;
-    type Reader<'t>
-        = RobinHoodReader<'t, E>
-    where
-        E: 't;
-
     const NAME: &'static str = "robinHood";
 
     fn new_pow2(log2_size: u32) -> Self {
         RobinHoodHashTable::new_pow2(log2_size)
     }
-
     fn capacity(&self) -> usize {
         self.capacity()
     }
-
-    fn begin_insert(&mut self) -> RobinHoodInserter<'_, E> {
-        RobinHoodInserter(self, PhaseSpan::begin(PhaseKind::Insert))
+    fn insert(&self, e: E) {
+        RobinHoodHashTable::insert(self, e)
     }
-
-    fn begin_delete(&mut self) -> RobinHoodDeleter<'_, E> {
-        RobinHoodDeleter(self, PhaseSpan::begin(PhaseKind::Delete))
+    fn delete(&self, key: E) {
+        RobinHoodHashTable::delete(self, key)
     }
-
-    fn begin_read(&mut self) -> RobinHoodReader<'_, E> {
-        RobinHoodReader(self, PhaseSpan::begin(PhaseKind::Read))
+    fn find(&self, key: E) -> Option<E> {
+        RobinHoodHashTable::find(self, key)
     }
-
-    fn elements(&mut self) -> Vec<E> {
+    fn pack(&self) -> Vec<E> {
         RobinHoodHashTable::elements(self)
+    }
+    fn insert_batch(&self, entries: &[E]) {
+        RobinHoodHashTable::insert_batch(self, entries)
+    }
+    fn delete_batch(&self, keys: &[E]) {
+        crate::batch::delete_batch(self, keys)
+    }
+    fn find_batch(&self, keys: &[E]) -> Vec<Option<E>> {
+        RobinHoodHashTable::find_batch(self, keys)
     }
 }
 

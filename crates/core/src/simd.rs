@@ -1177,13 +1177,21 @@ use x86::{nonempty_mask_avx2, nonempty_mask_sse2};
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, AtomicU64};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes every test that sets or reads the process-wide tier
+    /// override, so concurrently running tests never observe another
+    /// test's override.
+    static TIER_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock_tier() -> MutexGuard<'static, ()> {
+        TIER_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// Runs `f` under every tier this machine can execute, restoring
-    /// the default afterwards. Serialized so concurrently running tier
-    /// tests do not fight over the process-wide override.
+    /// the default afterwards.
     fn for_each_tier(f: impl Fn(SimdTier)) {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock_tier();
         for t in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
             set_tier(Some(t));
             f(tier());
@@ -1478,6 +1486,7 @@ mod tests {
 
     #[test]
     fn env_default_is_clamped_and_stable() {
+        let _guard = lock_tier();
         let a = tier();
         let b = tier();
         assert_eq!(a, b);
@@ -1487,8 +1496,7 @@ mod tests {
 
     #[test]
     fn set_tier_round_trips() {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock_tier();
         set_tier(Some(SimdTier::Scalar));
         assert_eq!(tier(), SimdTier::Scalar);
         set_tier(None);

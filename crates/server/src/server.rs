@@ -35,7 +35,7 @@
 //! ## The fc mode
 //!
 //! [`FcKvServer`] swaps the shard core for the fully concurrent one:
-//! [`FcAutoGrowTable`](phc_core::FcAutoGrowTable) is the same room
+//! [`FcAutoGrowTable`] is the same room
 //! wrapper over the fc core, whose calls enter no room, so the three
 //! sub-phase calls inside a shard fuse into one pass with no room
 //! entry, exit, or switch between them. Responses are byte-identical to the rooms

@@ -2,26 +2,44 @@
 //! through the `PhaseHashTable` trait: set semantics, phase behavior,
 //! combining, and stress under parallel phases. (The tables differ in
 //! determinism, not in correctness — these tests pin the shared
-//! contract.)
+//! contract.) The growable `ResizableTable` runs here too, seeded small
+//! so it grows, which also drives its normalize-on-phase-entry hook.
 
 use std::collections::BTreeSet;
 
 use phase_concurrent_hashing::tables::{
     AddValues, ChainedHashTable, ConcurrentDelete, ConcurrentInsert, ConcurrentRead,
     CuckooHashTable, DetHashTable, FcHashTable, HopscotchHashTable, KvPair, NdHashTable,
-    PhaseHashTable, RobinHoodHashTable, U64Key,
+    PhaseHashTable, ResizableTable, RobinHoodHashTable, U64Key,
 };
 use rayon::prelude::*;
 
 fn check_set_semantics<T: PhaseHashTable<U64Key>>(mut table: T, label: &str) {
     let keys: Vec<u64> = phase_concurrent_hashing::workloads::random_seq_int(20_000, 42).to_vec();
+    // Half the inserts go per-op, the rest through the handle's batch
+    // paths, so each batch path is checked against the per-op result.
+    let (per_op, batched) = keys.split_at(keys.len() / 2);
+    let batched: Vec<U64Key> = batched.iter().map(|&k| U64Key::new(k)).collect();
+    let (seq, par) = batched.split_at(batched.len() / 4);
     {
         let ins = table.begin_insert();
-        keys.par_iter().for_each(|&k| ins.insert(U64Key::new(k)));
+        per_op.par_iter().for_each(|&k| ins.insert(U64Key::new(k)));
+        ins.insert_batch(seq);
+        ins.par_insert_batched(par);
     }
     let expect: BTreeSet<u64> = keys.iter().copied().collect();
     {
         let reader = table.begin_read();
+        let probes: Vec<U64Key> = (1..=4000u64).map(|i| U64Key::new(i * 10)).collect();
+        let per_op: Vec<Option<U64Key>> = probes.iter().map(|&k| reader.find(k)).collect();
+        assert_eq!(reader.find_batch(&probes), per_op, "{label}: find_batch");
+        assert_eq!(
+            reader.par_find_batched(&probes),
+            per_op,
+            "{label}: par_find_batched"
+        );
+        let packed: BTreeSet<u64> = reader.elements().iter().map(|k| k.0).collect();
+        assert_eq!(packed, expect, "{label}: reader elements() set");
         for &k in expect.iter().take(2000) {
             assert_eq!(
                 reader.find(U64Key::new(k)),
@@ -37,11 +55,16 @@ fn check_set_semantics<T: PhaseHashTable<U64Key>>(mut table: T, label: &str) {
     let got: BTreeSet<u64> = table.elements().iter().map(|k| k.0).collect();
     assert_eq!(got, expect, "{label}: elements() set");
 
-    // Delete half, in parallel.
+    // Delete half: per-op in parallel, then through the batch paths.
     let dels: Vec<u64> = expect.iter().copied().step_by(2).collect();
     {
         let del = table.begin_delete();
-        dels.par_iter().for_each(|&k| del.delete(U64Key::new(k)));
+        let (per_op, batched) = dels.split_at(dels.len() / 2);
+        per_op.par_iter().for_each(|&k| del.delete(U64Key::new(k)));
+        let batched: Vec<U64Key> = batched.iter().map(|&k| U64Key::new(k)).collect();
+        let (seq, par) = batched.split_at(batched.len() / 4);
+        del.delete_batch(seq);
+        del.par_delete_batched(par);
     }
     let after: BTreeSet<u64> = table.elements().iter().map(|k| k.0).collect();
     let expect_after: BTreeSet<u64> = expect
@@ -71,6 +94,18 @@ fn set_semantics_all_tables() {
     // The fully concurrent table needs no phases at all, but it must
     // still satisfy the phased contract when driven through it.
     check_set_semantics(FcHashTable::<U64Key>::new_pow2(16), "linearHash-FC");
+    check_set_semantics(
+        ResizableTable::<U64Key, DetHashTable<U64Key>>::new_pow2(4),
+        "linearHash-D-grow",
+    );
+    check_set_semantics(
+        ResizableTable::<U64Key, RobinHoodHashTable<U64Key>>::new_pow2(4),
+        "robinHood-grow",
+    );
+    check_set_semantics(
+        ResizableTable::<U64Key, FcHashTable<U64Key>>::new_pow2(4),
+        "linearHash-FC-grow",
+    );
 }
 
 fn check_combining<T: PhaseHashTable<KvPair<AddValues>>>(mut table: T, label: &str) {
@@ -121,6 +156,19 @@ fn additive_combining_all_tables() {
     check_combining(
         FcHashTable::<KvPair<AddValues>>::new_pow2(10),
         "linearHash-FC",
+    );
+    type Kv = KvPair<AddValues>;
+    check_combining(
+        ResizableTable::<Kv, DetHashTable<Kv>>::new_pow2(4),
+        "linearHash-D-grow",
+    );
+    check_combining(
+        ResizableTable::<Kv, RobinHoodHashTable<Kv>>::new_pow2(4),
+        "robinHood-grow",
+    );
+    check_combining(
+        ResizableTable::<Kv, FcHashTable<Kv>>::new_pow2(4),
+        "linearHash-FC-grow",
     );
 }
 
