@@ -19,8 +19,8 @@
 //! for both the freeze-free incremental scheme and the stop-the-world
 //! baseline. The max is the statistic the freeze-free migration
 //! exists to fix — one bounded block quota instead of a table-sized
-//! stall. (`phc-bench --bin growth` archives the same probe into
-//! `BENCH_PR10.json`.)
+//! stall. (`phc-bench --bin growth` writes the same probe to
+//! `BENCH_PR10.json`; the PR 10 run of it is in git history.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use phc_bench::StwResizableTable;

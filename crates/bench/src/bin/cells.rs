@@ -1,8 +1,8 @@
 //! Cell-width benchmark: packed 32-bit cells vs the 64-bit baseline.
 //!
-//! The PR 9 ablation behind `BENCH_PR9.json`: the same logical
-//! key/value workload runs through `DetHashTable<KvPair>` (one
-//! `AtomicU64` per cell) and `DetHashTable<KvPair32>` (one `AtomicU32`
+//! The PR 9 ablation (its `BENCH_PR9.json` is in git history): the
+//! same logical key/value workload runs through
+//! `DetHashTable<KvPair>` (one `AtomicU64` per cell) and `DetHashTable<KvPair32>` (one `AtomicU32`
 //! per cell, 16-bit key / 16-bit value packed). Halving the cell width
 //! doubles both the cells per cache line and the lanes per SIMD vector
 //! (8 × u32 per AVX2 register vs 4 × u64), so probe-bound phases get
@@ -23,8 +23,8 @@
 //! keys, delete down to a sliver, delete to empty — recording the
 //! deterministic capacity walk-down and the process RSS at each stage.
 //!
-//! Run with `--json FILE` to dump the report envelope; CI and
-//! `BENCH_PR9.json` use `--json BENCH_PR9.json`. With `--features obs`
+//! Run with `--json FILE` to dump the report envelope (default
+//! `BENCH_PR9.json`, which git ignores). With `--features obs`
 //! the envelope's obs snapshot carries the PR 9 counters
 //! (`shrink_epochs`, `shrink_migrations`, `simd32_lanes_scanned`) and
 //! the `bytes_per_key_milli` gauge.

@@ -1,8 +1,8 @@
 //! Growth-path benchmark: freeze-free incremental migration vs the
 //! stop-the-world rebuild, end-to-end and per-op.
 //!
-//! The PR 10 ablation behind `BENCH_PR10.json`. Two measurements over
-//! the same from-16-cells growth workload (`hash64(i) | 1` keys):
+//! The PR 10 ablation (its `BENCH_PR10.json` is in git history). Two
+//! measurements over the same from-16-cells growth workload (`hash64(i) | 1` keys):
 //!
 //! * **End-to-end growth time** — total milliseconds to insert N keys
 //!   into a table seeded at 2^4 cells, for the freeze-free
@@ -29,8 +29,8 @@
 //! gap between a bounded quota and a table-sized stall (on real
 //! hardware every other thread would stall too).
 //!
-//! Run with `--json FILE` to dump the report envelope; CI and
-//! `BENCH_PR10.json` use `--json BENCH_PR10.json`.
+//! Run with `--json FILE` to dump the report envelope (default
+//! `BENCH_PR10.json`, which git ignores).
 
 use phc_bench::{arg_or_env, report, Report, StwResizableTable};
 use phc_core::{DetHashTable, ResizableTable, U64Key};

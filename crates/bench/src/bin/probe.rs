@@ -36,8 +36,9 @@
 //! With `--features obs` the envelope's obs snapshot carries the
 //! wide-path counters (`simd_redispatches`, `simd_misspeculations`,
 //! `robinhood_shifts`) and both displacement histograms (`probe_len`
-//! for det homes, `rh_displacement` for complement-homes). CI's bench
-//! smoke and `BENCH_PR6.json` use `--json BENCH_PR6.json`.
+//! for det homes, `rh_displacement` for complement-homes). Without a
+//! file name `--json` writes `BENCH_PR6.json`, which git ignores (the
+//! PR 5 and PR 6 runs are in git history).
 
 use phc_bench::{arg_or_env, datasets, report, Report};
 use phc_core::entry::U64Key;

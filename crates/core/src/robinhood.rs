@@ -7,7 +7,7 @@
 //! layout through a priority trick that makes the displacement rule
 //! coincide with the deterministic table's ordering invariant — and
 //! therefore with the one-compare-per-lane
-//! [`scan_le`](crate::simd::scan_le) stop condition:
+//! [`scan_le`](crate::simd::Kernel::scan_le) stop condition:
 //!
 //! * Every stored repr has its key field passed through a **bijective,
 //!   zero-fixing mixer** (an invertible xorshift-multiply chain on the
@@ -31,7 +31,7 @@
 //! The payoff is that the displacement-ordered stop condition — "stop
 //! at the first entry no richer than me, or an empty cell, or my own
 //! key" — is exactly `masked(cell) <= masked(probe)`, i.e. one
-//! [`scan_le`](crate::simd::scan_le) per window at every tier, the same
+//! [`scan_le`](crate::simd::Kernel::scan_le) per window, the same
 //! kernel the deterministic table uses. There is no per-cell
 //! displacement arithmetic anywhere on the hot path.
 //!

@@ -5,8 +5,8 @@
 //! draining, and occupancy counting — is a forward scan over a
 //! contiguous `AtomicU64` array: exactly the shape wide vector loads
 //! were built for. This module provides those scans with runtime
-//! dispatch AVX2 → SSE2 → scalar and a `PHC_SIMD` environment knob
-//! (read once, like `PHC_THREADS`) to pin a tier for benchmarking and
+//! dispatch AVX2 → scalar and a `PHC_SIMD` environment knob (read
+//! once, like `PHC_THREADS`) to pin a tier for benchmarking and
 //! differential testing.
 //!
 //! ## Why unsynchronized wide loads are sound here
@@ -60,7 +60,6 @@
 //! | tier | vector width | 64-bit cells/probe window | 32-bit cells |
 //! |---|---|---|---|
 //! | `avx2` | 256-bit | 4 | 8 |
-//! | `sse2` | 128-bit | 2 (64-bit compares synthesized from 32-bit ops) | 4 (native `epi32` ops) |
 //! | `scalar` | — | 1 (per-cell atomic loads; the reference semantics) | 1 |
 //!
 //! Every kernel is instantiated per cell width (see [`crate::cell`]):
@@ -70,10 +69,13 @@
 //! lanes per vector *and* halve the bytes per examined cell — the two
 //! compounding wins of the compact-entry layout.
 //!
-//! SSE2 is the x86-64 baseline, so the `sse2` tier is always available
-//! there; `avx2` is used when `is_x86_feature_detected!` reports it (or
-//! falls back one tier, counted in `SimdFallbacks`, when `PHC_SIMD=avx2`
-//! is forced on hardware without it). Non-x86 targets always run scalar.
+//! The AVX2 kernels scan whole vectors only and hand the rest of a
+//! range (fewer cells than one vector) to the scalar kernels, so a
+//! scan's tail and the scalar tier share one definition.
+//!
+//! `avx2` is used when `is_x86_feature_detected!` reports it. Every
+//! other host runs the scalar tier, as does `PHC_SIMD=avx2` forced on
+//! hardware without AVX2 (a downgrade counted in `SimdFallbacks`).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -85,8 +87,6 @@ use crate::cell::CellAtomic;
 pub enum SimdTier {
     /// Per-cell atomic loads — the reference semantics.
     Scalar,
-    /// 128-bit kernels (x86-64 baseline).
-    Sse2,
     /// 256-bit kernels (runtime-detected).
     Avx2,
 }
@@ -96,50 +96,42 @@ impl SimdTier {
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Sse2 => "sse2",
             SimdTier::Avx2 => "avx2",
         }
+    }
+}
+
+/// Whether this build and CPU run the AVX2 kernels. Never under Miri:
+/// wide raw loads are outside the model it checks.
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        !cfg!(miri) && is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 
 /// Clamps a requested tier to what this build/CPU can actually run.
 /// Downgrades are counted as `SimdFallbacks`.
 fn clamp(requested: SimdTier) -> SimdTier {
-    if cfg!(miri) {
-        // Wide raw loads are outside the model Miri checks; always take
-        // the atomic scalar kernels under it.
+    if requested == SimdTier::Avx2 && !avx2_detected() {
+        phc_obs::probe!(count SimdFallbacks);
         return SimdTier::Scalar;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if requested == SimdTier::Avx2 && !is_x86_feature_detected!("avx2") {
-            phc_obs::probe!(count SimdFallbacks);
-            return SimdTier::Sse2;
-        }
-        requested
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        if requested != SimdTier::Scalar {
-            phc_obs::probe!(count SimdFallbacks);
-        }
-        SimdTier::Scalar
-    }
+    requested
 }
 
 /// The tier selected by the environment (read **once**): `PHC_SIMD` is
-/// `avx2`, `sse2` or `scalar`, defaulting to the best detected tier.
+/// `avx2` or `scalar`; unset or any other value picks the best detected
+/// tier.
 fn env_tier() -> SimdTier {
     static DEFAULT: OnceLock<SimdTier> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        let requested = match std::env::var("PHC_SIMD").ok().as_deref() {
-            Some("scalar") => SimdTier::Scalar,
-            Some("sse2") => SimdTier::Sse2,
-            Some("avx2") => SimdTier::Avx2,
-            // Unset (or unrecognized): auto-detect the best tier.
-            _ => SimdTier::Avx2,
-        };
-        clamp(requested)
+    *DEFAULT.get_or_init(|| match std::env::var("PHC_SIMD").ok().as_deref() {
+        Some("scalar") => SimdTier::Scalar,
+        _ => clamp(SimdTier::Avx2),
     })
 }
 
@@ -152,8 +144,7 @@ static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 pub fn tier() -> SimdTier {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => SimdTier::Scalar,
-        2 => SimdTier::Sse2,
-        3 => SimdTier::Avx2,
+        2 => SimdTier::Avx2,
         _ => env_tier(),
     }
 }
@@ -161,16 +152,15 @@ pub fn tier() -> SimdTier {
 /// Overrides the dispatch tier process-wide (`None` restores the
 /// environment default). For benchmarks and differential tests that
 /// compare tiers within one process; requests are clamped to what the
-/// CPU supports, so forcing `Avx2` on a non-AVX2 box runs SSE2 (and
-/// anything non-scalar on a non-x86 box runs scalar). Every tier
-/// produces identical results on quiescent tables, so flipping this
-/// concurrently with table operations is benign, if pointless.
+/// CPU supports, so forcing `Avx2` on a host without AVX2 runs scalar.
+/// Both tiers produce identical results on quiescent tables, so
+/// flipping this concurrently with table operations is benign, if
+/// pointless.
 pub fn set_tier(tier: Option<SimdTier>) {
     let code = match tier.map(clamp) {
         None => 0,
         Some(SimdTier::Scalar) => 1,
-        Some(SimdTier::Sse2) => 2,
-        Some(SimdTier::Avx2) => 3,
+        Some(SimdTier::Avx2) => 2,
     };
     OVERRIDE.store(code, Ordering::Relaxed);
 }
@@ -186,73 +176,26 @@ pub fn set_tier(tier: Option<SimdTier>) {
 pub type ScanHit = (Option<(usize, u64)>, usize);
 
 // ---------------------------------------------------------------------
-// Dispatch wrappers
+// Per-call dispatch
 // ---------------------------------------------------------------------
 
-/// First index `i` in `[start, end)` with
-/// `cells[i] & key_mask <= threshold` (unsigned): the stop condition of
-/// the deterministic table's prioritized probe, where `threshold` is
-/// the masked repr being inserted or sought. Under the
-/// [`SIMD_KEY_MASK`](crate::entry::HashEntry::SIMD_KEY_MASK) contract a
-/// stop lane is an exact key match iff its masked value *equals*
-/// `threshold`; anything below is empty or lower priority.
-#[inline]
-pub fn scan_le<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    key_mask: u64,
-    threshold: u64,
-) -> ScanHit {
-    debug_assert!(start <= end && end <= cells.len());
-    // Each call resolves the tier at runtime; hot loops bind a kernel
-    // once per operation/batch through [`dispatch`] instead.
-    phc_obs::probe!(count SimdRedispatches);
-    match tier() {
-        // `tier()` reports Avx2 only when the CPU supports it.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => Avx2(()).scan_le(cells, start, end, key_mask, threshold),
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => Sse2.scan_le(cells, start, end, key_mask, threshold),
-        _ => Portable.scan_le(cells, start, end, key_mask, threshold),
-    }
-}
-
-/// First index `i` in `[start, end)` with `cells[i] == empty` or
-/// `cells[i] & key_mask == probe & key_mask`: the stop condition of the
-/// ND table's first-fit probe (an empty slot or the probe's own key).
-#[inline]
-pub fn scan_for_key<A: CellAtomic>(
-    cells: &[A],
-    start: usize,
-    end: usize,
-    empty: u64,
-    key_mask: u64,
-    probe: u64,
-) -> ScanHit {
-    debug_assert!(start <= end && end <= cells.len());
-    phc_obs::probe!(count SimdRedispatches);
-    let probe_masked = probe & key_mask;
-    match tier() {
-        // `tier()` reports Avx2 only when the CPU supports it.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => Avx2(()).scan_for_key(cells, start, end, empty, key_mask, probe_masked),
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => Sse2.scan_for_key(cells, start, end, empty, key_mask, probe_masked),
-        _ => Portable.scan_for_key(cells, start, end, empty, key_mask, probe_masked),
-    }
-}
-
 /// First index `i` in `[start, end)` with `cells[i] == empty` — the
-/// speculative empty-slot search. Equivalent to [`scan_for_key`] with a
-/// key mask of 0... except that a zero mask would match every cell;
-/// this is the dedicated raw-equality form.
+/// speculative empty-slot search. Resolves the tier on each call; hot
+/// loops bind a kernel once per operation or batch through
+/// [`dispatch`] instead.
 #[inline]
 pub fn scan_for_empty<A: CellAtomic>(cells: &[A], start: usize, end: usize, empty: u64) -> ScanHit {
+    debug_assert!(start <= end && end <= cells.len());
+    phc_obs::probe!(count SimdRedispatches);
     // An empty lane is the only lane whose repr equals `empty`, so the
     // key-or-empty kernel with the probe pinned to `empty` under a full
     // mask degenerates to exactly this search.
-    scan_for_key(cells, start, end, empty, u64::MAX, empty)
+    match tier() {
+        // `tier()` reports Avx2 only when the CPU supports it.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => Avx2(()).scan_for_key(cells, start, end, empty, u64::MAX, empty),
+        _ => scan_for_key_scalar(cells, start, end, empty, u64::MAX, empty),
+    }
 }
 
 /// Widest window [`load_window`] fills (the AVX2 lane count).
@@ -260,12 +203,12 @@ pub const MAX_WINDOW: usize = 4;
 
 /// Loads up to [`MAX_WINDOW`] consecutive cells from `[start, end)`
 /// into `out`, returning how many lanes were filled (0 when
-/// `start >= end`). At the SSE2/AVX2 tiers full windows come from one
-/// or two vector loads; partial windows and the scalar tier use
-/// per-cell atomic loads. For probe loops whose per-cell predicate
-/// cannot be vectorized (e.g. it must hash the entry, as in
-/// `find_replacement`): the win is batched cache traffic, with each
-/// lane still an individually valid (non-torn) cell value.
+/// `start >= end`). At the AVX2 tier a full window is one vector load;
+/// partial windows and the scalar tier use per-cell atomic loads. For
+/// probe loops whose per-cell predicate cannot be vectorized (e.g. it
+/// must hash the entry, as in `find_replacement`): the win is batched
+/// cache traffic, with each lane still an individually valid
+/// (non-torn) cell value.
 #[inline]
 pub fn load_window<A: CellAtomic>(
     cells: &[A],
@@ -275,43 +218,11 @@ pub fn load_window<A: CellAtomic>(
 ) -> usize {
     debug_assert!(end <= cells.len());
     let k = end.saturating_sub(start).min(MAX_WINDOW);
+    // `tier()` reports Avx2 only when the CPU supports it.
     #[cfg(target_arch = "x86_64")]
-    {
-        if A::BITS == 32 {
-            // A full 4-cell window of 32-bit cells is one 128-bit load
-            // (zero-extended on store-out); partial windows fall through
-            // to the per-cell loads.
-            if k == MAX_WINDOW && tier() != SimdTier::Scalar {
-                unsafe {
-                    x86::load4_u32_sse2(cells.as_ptr().cast::<u32>().add(start), out.as_mut_ptr())
-                };
-                return k;
-            }
-        } else {
-            match tier() {
-                SimdTier::Avx2 if k == MAX_WINDOW => {
-                    // SAFETY: in-bounds, 8-byte-aligned; see module docs
-                    // for the race argument.
-                    unsafe {
-                        x86::load4_avx2(cells.as_ptr().cast::<u64>().add(start), out.as_mut_ptr())
-                    };
-                    return k;
-                }
-                SimdTier::Sse2 | SimdTier::Avx2 if k >= 2 => {
-                    unsafe {
-                        let src = cells.as_ptr().cast::<u64>().add(start);
-                        x86::load2_sse2(src, out.as_mut_ptr());
-                        if k == 3 {
-                            out[2] = cells[start + 2].load(Ordering::Acquire);
-                        } else if k == 4 {
-                            x86::load2_sse2(src.add(2), out.as_mut_ptr().add(2));
-                        }
-                    }
-                    return k;
-                }
-                _ => {}
-            }
-        }
+    if k == MAX_WINDOW && tier() == SimdTier::Avx2 {
+        Avx2(()).load_full_window(cells, start, out);
+        return k;
     }
     for (lane, slot) in out.iter_mut().enumerate().take(k) {
         *slot = cells[start + lane].load(Ordering::Acquire);
@@ -327,45 +238,38 @@ pub fn load_window<A: CellAtomic>(
 pub fn scan_nonempty_mask<A: CellAtomic>(window: &[A], empty: u64) -> u64 {
     debug_assert!(window.len() <= 64);
     match tier() {
+        // `tier()` reports Avx2 only when the CPU supports it.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe {
-            if A::BITS == 32 {
-                x86::nonempty_mask_avx2_u32(window.as_ptr().cast(), window.len(), empty)
-            } else {
-                nonempty_mask_avx2(window.as_ptr().cast(), window.len(), empty)
-            }
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => unsafe {
-            if A::BITS == 32 {
-                x86::nonempty_mask_sse2_u32(window.as_ptr().cast(), window.len(), empty)
-            } else {
-                nonempty_mask_sse2(window.as_ptr().cast(), window.len(), empty)
-            }
-        },
+        SimdTier::Avx2 => Avx2(()).nonempty_mask(window, empty),
         _ => nonempty_mask_scalar(window, empty),
     }
 }
 
 // ---------------------------------------------------------------------
-// Tier kernels and the one dispatcher
+// The AVX2 kernel and the one dispatcher
 // ---------------------------------------------------------------------
 //
 // Every table writes its wide probe bodies once, generic over
 // `K: Kernel`; [`dispatch`] resolves the tier once per operation or
-// batch and monomorphizes the body per tier. The AVX2 instantiation
-// runs inside the single `#[target_feature(enable = "avx2")]`
-// trampoline below, so the kernel intrinsics inline straight into the
-// table's probe loop. The width branch folds on `A::BITS`; 32-bit
-// instantiations feed the `Simd32LanesScanned` counter here, so every
-// caller of the sub-word kernels is counted without touching the call
-// sites.
+// batch and runs either the op's scalar form or its wide form over the
+// AVX2 kernel. The wide form runs inside the single
+// `#[target_feature(enable = "avx2")]` trampoline below, so the kernel
+// intrinsics inline straight into the table's probe loop. The width
+// branch folds on `A::BITS`; 32-bit instantiations feed the
+// `Simd32LanesScanned` counter here, so every caller of the sub-word
+// kernels is counted without touching the call sites.
 
-/// A wide-scan kernel, bound once per operation or batch. One
-/// zero-sized type per tier implements it; results are identical
-/// across kernels (the differential suites assert it).
+/// A wide-scan kernel, bound once per operation or batch. The AVX2
+/// tier's [`Avx2`] implements it; the scalar tier runs each op's own
+/// scalar form instead.
 pub trait Kernel: Copy {
-    /// [`scan_le`] at this kernel's tier.
+    /// First index `i` in `[start, end)` with
+    /// `cells[i] & key_mask <= threshold` (unsigned): the stop condition
+    /// of the deterministic table's prioritized probe, where `threshold`
+    /// is the masked repr being inserted or sought. Under the
+    /// [`SIMD_KEY_MASK`](crate::entry::HashEntry::SIMD_KEY_MASK)
+    /// contract a stop lane is an exact key match iff its masked value
+    /// *equals* `threshold`; anything below is empty or lower priority.
     fn scan_le<A: CellAtomic>(
         self,
         cells: &[A],
@@ -375,8 +279,10 @@ pub trait Kernel: Copy {
         threshold: u64,
     ) -> ScanHit;
 
-    /// [`scan_for_key`] at this kernel's tier, with the probe already
-    /// masked.
+    /// First index `i` in `[start, end)` with `cells[i] == empty` or
+    /// `cells[i] & key_mask == probe_masked`: the stop condition of the
+    /// ND table's first-fit probe (an empty slot or the probe's own
+    /// key), with the probe already masked.
     fn scan_for_key<A: CellAtomic>(
         self,
         cells: &[A],
@@ -434,16 +340,6 @@ pub trait Kernel: Copy {
 #[derive(Clone, Copy)]
 pub struct Avx2(());
 
-/// The 128-bit kernels (the x86-64 baseline).
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-pub struct Sse2;
-
-/// Per-cell atomic scans behind the kernel interface: what the wide
-/// bodies run on targets without vector kernels.
-#[derive(Clone, Copy)]
-pub struct Portable;
-
 /// Counts the lanes a 32-bit-cell scan examined.
 #[inline(always)]
 fn count_sub_word<A: CellAtomic>(hit: ScanHit) -> ScanHit {
@@ -451,6 +347,22 @@ fn count_sub_word<A: CellAtomic>(hit: ScanHit) -> ScanHit {
         phc_obs::probe!(count Simd32LanesScanned, hit.1);
     }
     hit
+}
+
+/// Completes a vector scan of a range beginning at `start`: a scan
+/// that ran out of whole vectors without a hit (`(None, lanes)`) goes
+/// on with `tail` from the first unscanned cell, `start + lanes`, and
+/// the lane counts add up.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn finish(body: ScanHit, start: usize, tail: impl FnOnce(usize) -> ScanHit) -> ScanHit {
+    match body {
+        (None, lanes) => {
+            let (hit, more) = tail(start + lanes);
+            (hit, lanes + more)
+        }
+        hit => hit,
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -464,17 +376,23 @@ impl Kernel for Avx2 {
         key_mask: u64,
         threshold: u64,
     ) -> ScanHit {
-        debug_assert!(start <= end && end <= cells.len());
+        // Bounding the slice by `end` is what keeps the vector loads in
+        // bounds; the scalar tail checks `start <= end`.
+        let cells = &cells[..end];
         let p = cells.as_ptr();
-        // SAFETY: holding `self` proves AVX2; the range is in bounds
-        // (see the module docs for the wide-load race argument).
-        count_sub_word::<A>(unsafe {
+        // SAFETY: holding `self` proves AVX2; the vector loads stay in
+        // `[start, end)`, inside `cells` (see the module docs for the
+        // wide-load race argument).
+        let body = unsafe {
             if A::BITS == 32 {
                 x86::scan_le_avx2_u32(p.cast(), start, end, key_mask, threshold)
             } else {
                 x86::scan_le_avx2(p.cast(), start, end, key_mask, threshold)
             }
-        })
+        };
+        count_sub_word::<A>(finish(body, start, |i| {
+            scan_le_scalar(cells, i, end, key_mask, threshold)
+        }))
     }
 
     #[inline(always)]
@@ -487,89 +405,73 @@ impl Kernel for Avx2 {
         key_mask: u64,
         probe_masked: u64,
     ) -> ScanHit {
-        debug_assert!(start <= end && end <= cells.len());
+        let cells = &cells[..end];
         let p = cells.as_ptr();
         // SAFETY: as in `scan_le`.
-        count_sub_word::<A>(unsafe {
+        let body = unsafe {
             if A::BITS == 32 {
                 x86::scan_for_key_avx2_u32(p.cast(), start, end, empty, key_mask, probe_masked)
             } else {
                 x86::scan_for_key_avx2(p.cast(), start, end, empty, key_mask, probe_masked)
             }
-        })
+        };
+        count_sub_word::<A>(finish(body, start, |i| {
+            scan_for_key_scalar(cells, i, end, empty, key_mask, probe_masked)
+        }))
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-impl Kernel for Sse2 {
+impl Avx2 {
+    /// Cells of width `A` per 256-bit vector.
+    fn lanes<A: CellAtomic>() -> usize {
+        (256 / A::BITS) as usize
+    }
+
+    /// [`scan_nonempty_mask`] over the window's whole vectors, with the
+    /// scalar kernel covering the cells past the last one.
     #[inline(always)]
-    fn scan_le<A: CellAtomic>(
-        self,
-        cells: &[A],
-        start: usize,
-        end: usize,
-        key_mask: u64,
-        threshold: u64,
-    ) -> ScanHit {
-        debug_assert!(start <= end && end <= cells.len());
-        let p = cells.as_ptr();
-        // SAFETY: SSE2 is the x86-64 baseline; the range is in bounds.
-        count_sub_word::<A>(unsafe {
+    fn nonempty_mask<A: CellAtomic>(self, window: &[A], empty: u64) -> u64 {
+        let (body, tail) = window.split_at(window.len() - window.len() % Self::lanes::<A>());
+        let p = body.as_ptr();
+        // SAFETY: holding `self` proves AVX2; `body` is whole vectors of
+        // live cells.
+        let mask = unsafe {
             if A::BITS == 32 {
-                x86::scan_le_sse2_u32(p.cast(), start, end, key_mask, threshold)
+                x86::nonempty_mask_avx2_u32(p.cast(), body.len(), empty)
             } else {
-                x86::scan_le_sse2(p.cast(), start, end, key_mask, threshold)
+                x86::nonempty_mask_avx2(p.cast(), body.len(), empty)
             }
-        })
+        };
+        if tail.is_empty() {
+            mask
+        } else {
+            // A non-empty tail leaves `body.len() < 64`.
+            mask | nonempty_mask_scalar(tail, empty) << body.len()
+        }
     }
 
+    /// Fills `out` from the full window `cells[start..start + MAX_WINDOW]`
+    /// with one vector load (256-bit over 64-bit cells, 128-bit over
+    /// 32-bit cells).
     #[inline(always)]
-    fn scan_for_key<A: CellAtomic>(
+    fn load_full_window<A: CellAtomic>(
         self,
         cells: &[A],
         start: usize,
-        end: usize,
-        empty: u64,
-        key_mask: u64,
-        probe_masked: u64,
-    ) -> ScanHit {
-        debug_assert!(start <= end && end <= cells.len());
-        let p = cells.as_ptr();
-        // SAFETY: as in `scan_le`.
-        count_sub_word::<A>(unsafe {
+        out: &mut [u64; MAX_WINDOW],
+    ) {
+        let window = &cells[start..start + MAX_WINDOW];
+        // SAFETY: holding `self` proves AVX2 (a superset of SSE2); the
+        // window is `MAX_WINDOW` live cells (see the module docs for the
+        // race argument).
+        unsafe {
             if A::BITS == 32 {
-                x86::scan_for_key_sse2_u32(p.cast(), start, end, empty, key_mask, probe_masked)
+                x86::load4_u32_sse2(window.as_ptr().cast(), out.as_mut_ptr())
             } else {
-                x86::scan_for_key_sse2(p.cast(), start, end, empty, key_mask, probe_masked)
+                x86::load4_avx2(window.as_ptr().cast(), out.as_mut_ptr())
             }
-        })
-    }
-}
-
-impl Kernel for Portable {
-    #[inline(always)]
-    fn scan_le<A: CellAtomic>(
-        self,
-        cells: &[A],
-        start: usize,
-        end: usize,
-        key_mask: u64,
-        threshold: u64,
-    ) -> ScanHit {
-        scan_le_scalar(cells, start, end, key_mask, threshold)
-    }
-
-    #[inline(always)]
-    fn scan_for_key<A: CellAtomic>(
-        self,
-        cells: &[A],
-        start: usize,
-        end: usize,
-        empty: u64,
-        key_mask: u64,
-        probe_masked: u64,
-    ) -> ScanHit {
-        scan_for_key_scalar(cells, start, end, empty, key_mask, probe_masked)
+        }
     }
 }
 
@@ -591,28 +493,22 @@ pub trait TierOp<T: ?Sized>: Sized {
     fn wide<K: Kernel>(self, t: &T, k: K) -> Self::Out;
 }
 
-/// Runs `op` on `t` at the active tier: the scalar form at `Scalar`
-/// (or when the op cannot widen, counted as `SimdFallbacks`), otherwise
-/// the wide form with the tier's kernel bound once. This is the crate's
-/// one tier dispatch point for table operations. Only the tier branch
-/// is inlined into callers; each form runs out of line, so a call site
-/// stays small and the probe loop gets a function of its own.
+/// Runs `op` on `t` at the active tier: the wide form over the AVX2
+/// kernel at `Avx2`, otherwise the scalar form (counted as
+/// `SimdFallbacks` when the op cannot widen at `Avx2`). This is the
+/// crate's one tier dispatch point for table operations. Only the tier
+/// branch is inlined into callers; each form runs out of line, so a
+/// call site stays small and the probe loop gets a function of its own.
 #[inline(always)]
 pub fn dispatch<T: ?Sized, Op: TierOp<T>>(t: &T, op: Op) -> Op::Out {
     let tier = tier();
-    if tier == SimdTier::Scalar || !Op::WIDE {
-        return run_scalar(t, op, tier);
-    }
-    phc_obs::probe!(count SimdRedispatches);
-    match tier {
+    #[cfg(target_arch = "x86_64")]
+    if tier == SimdTier::Avx2 && Op::WIDE {
+        phc_obs::probe!(count SimdRedispatches);
         // SAFETY: `tier()` reports Avx2 only when the CPU supports it.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { run_avx2(t, op) },
-        #[cfg(target_arch = "x86_64")]
-        _ => run_wide(t, op, Sse2),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => run_wide(t, op, Portable),
+        return unsafe { run_avx2(t, op) };
     }
+    run_scalar(t, op, tier)
 }
 
 /// The scalar form (counting a fallback when a wide tier is active).
@@ -622,12 +518,6 @@ fn run_scalar<T: ?Sized, Op: TierOp<T>>(t: &T, op: Op, tier: SimdTier) -> Op::Ou
         phc_obs::probe!(count SimdFallbacks);
     }
     op.scalar(t)
-}
-
-/// The wide form at a baseline tier (no feature gate needed).
-#[inline(never)]
-fn run_wide<T: ?Sized, Op: TierOp<T>, K: Kernel>(t: &T, op: Op, k: K) -> Op::Out {
-    op.wide(t, k)
 }
 
 /// The AVX2 trampoline: compiled with the feature enabled, so the
@@ -647,6 +537,9 @@ unsafe fn run_avx2<T: ?Sized, Op: TierOp<T>>(t: &T, op: Op) -> Op::Out {
 // ---------------------------------------------------------------------
 // Scalar kernels (reference semantics, atomic loads)
 // ---------------------------------------------------------------------
+//
+// The scalar tier's per-call scans, and the tails the AVX2 kernels
+// hand over past their last whole vector.
 
 fn scan_le_scalar<A: CellAtomic>(
     cells: &[A],
@@ -655,10 +548,10 @@ fn scan_le_scalar<A: CellAtomic>(
     key_mask: u64,
     threshold: u64,
 ) -> ScanHit {
-    for (i, cell) in cells.iter().enumerate().take(end).skip(start) {
+    for (j, cell) in cells[start..end].iter().enumerate() {
         let c = cell.load(Ordering::Acquire);
         if c & key_mask <= threshold {
-            return (Some((i, c)), i - start + 1);
+            return (Some((start + j, c)), j + 1);
         }
     }
     (None, end - start)
@@ -672,15 +565,16 @@ fn scan_for_key_scalar<A: CellAtomic>(
     key_mask: u64,
     probe_masked: u64,
 ) -> ScanHit {
-    for (i, cell) in cells.iter().enumerate().take(end).skip(start) {
+    for (j, cell) in cells[start..end].iter().enumerate() {
         let c = cell.load(Ordering::Acquire);
         if c == empty || c & key_mask == probe_masked {
-            return (Some((i, c)), i - start + 1);
+            return (Some((start + j, c)), j + 1);
         }
     }
     (None, end - start)
 }
 
+#[inline]
 fn nonempty_mask_scalar<A: CellAtomic>(window: &[A], empty: u64) -> u64 {
     let mut mask = 0u64;
     for (j, c) in window.iter().enumerate() {
@@ -695,15 +589,20 @@ fn nonempty_mask_scalar<A: CellAtomic>(window: &[A], empty: u64) -> u64 {
 // x86-64 kernels
 // ---------------------------------------------------------------------
 //
-// SAFETY (all kernels below): callers pass a pointer/range inside one
-// live `[AtomicU64]` allocation, so every load is in bounds and 8-byte
-// aligned. The loads are unsynchronized; see the module docs for why
-// the phase discipline (quiescence or monotonicity + atomic confirm)
-// makes that acceptable, and note that each 8-byte lane of an x86
-// vector load is individually non-tearing.
+// SAFETY (all kernels below): callers hold an `Avx2` (proof that the
+// CPU runs AVX2) and pass a pointer/range inside one live cell
+// allocation, so every load is in bounds and naturally aligned. The
+// loads are unsynchronized; see the module docs for why the phase
+// discipline (quiescence or monotonicity + atomic confirm) makes that
+// acceptable, and note that each 8- or 4-byte lane of an x86 vector
+// load is individually non-tearing.
+//
+// The scans examine whole vectors only: each returns its hit, or
+// `(None, lanes)` once fewer cells than one vector remain, leaving
+// `[start + lanes, end)` to the scalar kernels (see `finish`).
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod x86 {
+mod x86 {
     use super::ScanHit;
     use core::arch::x86_64::*;
 
@@ -736,7 +635,7 @@ pub(crate) mod x86 {
             }
             i += 4;
         }
-        tail_le(ptr, i, start, end, key_mask, threshold)
+        (None, i - start)
     }
 
     #[inline]
@@ -768,9 +667,10 @@ pub(crate) mod x86 {
             }
             i += 4;
         }
-        tail_key(ptr, i, start, end, empty, key_mask, probe_masked)
+        (None, i - start)
     }
 
+    /// Occupancy mask of `len` cells, `len` a multiple of 4.
     #[target_feature(enable = "avx2")]
     pub unsafe fn nonempty_mask_avx2(ptr: *const u64, len: usize, empty: u64) -> u64 {
         let emptyv = _mm256_set1_epi64x(empty as i64);
@@ -782,110 +682,6 @@ pub(crate) mod x86 {
             mask |= (!eq & 0xF) << j;
             j += 4;
         }
-        while j < len {
-            if ptr.add(j).read() != empty {
-                mask |= 1 << j;
-            }
-            j += 1;
-        }
-        mask
-    }
-
-    /// Per-64-bit-lane `a == b` using only SSE2 (no `cmpeq_epi64`).
-    #[inline(always)]
-    unsafe fn eq64_sse2(a: __m128i, b: __m128i) -> __m128i {
-        let eq32 = _mm_cmpeq_epi32(a, b);
-        // Swap the 32-bit halves within each 64-bit lane and AND: a
-        // lane is all-ones iff both its halves matched.
-        _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, 0xB1))
-    }
-
-    /// Per-64-bit-lane unsigned `a > b` using only SSE2: compare the
-    /// biased 32-bit halves, then `hi_gt | (hi_eq & lo_gt)`.
-    #[inline(always)]
-    unsafe fn ugt64_sse2(a: __m128i, b: __m128i) -> __m128i {
-        let bias32 = _mm_set1_epi32(i32::MIN);
-        let gt32 = _mm_cmpgt_epi32(_mm_xor_si128(a, bias32), _mm_xor_si128(b, bias32));
-        let eq32 = _mm_cmpeq_epi32(a, b);
-        let hi_gt = _mm_shuffle_epi32(gt32, 0xF5); // hi results → both halves
-        let lo_gt = _mm_shuffle_epi32(gt32, 0xA0); // lo results → both halves
-        let hi_eq = _mm_shuffle_epi32(eq32, 0xF5);
-        _mm_or_si128(hi_gt, _mm_and_si128(hi_eq, lo_gt))
-    }
-
-    #[inline]
-    pub unsafe fn scan_le_sse2(
-        ptr: *const u64,
-        start: usize,
-        end: usize,
-        key_mask: u64,
-        threshold: u64,
-    ) -> ScanHit {
-        let maskv = _mm_set1_epi64x(key_mask as i64);
-        let thr = _mm_set1_epi64x(threshold as i64);
-        let mut i = start;
-        while i + 2 <= end {
-            let w = _mm_loadu_si128(ptr.add(i).cast());
-            let gt = ugt64_sse2(_mm_and_si128(w, maskv), thr);
-            let le = !(_mm_movemask_pd(_mm_castsi128_pd(gt)) as u32) & 0x3;
-            if le != 0 {
-                let lane = le.trailing_zeros() as usize;
-                let mut lanes = [0u64; 2];
-                _mm_storeu_si128(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane])), i + 2 - start);
-            }
-            i += 2;
-        }
-        tail_le(ptr, i, start, end, key_mask, threshold)
-    }
-
-    #[inline]
-    pub unsafe fn scan_for_key_sse2(
-        ptr: *const u64,
-        start: usize,
-        end: usize,
-        empty: u64,
-        key_mask: u64,
-        probe_masked: u64,
-    ) -> ScanHit {
-        let maskv = _mm_set1_epi64x(key_mask as i64);
-        let emptyv = _mm_set1_epi64x(empty as i64);
-        let probev = _mm_set1_epi64x(probe_masked as i64);
-        let mut i = start;
-        while i + 2 <= end {
-            let w = _mm_loadu_si128(ptr.add(i).cast());
-            let stop = _mm_or_si128(
-                eq64_sse2(w, emptyv),
-                eq64_sse2(_mm_and_si128(w, maskv), probev),
-            );
-            let bits = _mm_movemask_pd(_mm_castsi128_pd(stop)) as u32;
-            if bits != 0 {
-                let lane = bits.trailing_zeros() as usize;
-                let mut lanes = [0u64; 2];
-                _mm_storeu_si128(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane])), i + 2 - start);
-            }
-            i += 2;
-        }
-        tail_key(ptr, i, start, end, empty, key_mask, probe_masked)
-    }
-
-    pub unsafe fn nonempty_mask_sse2(ptr: *const u64, len: usize, empty: u64) -> u64 {
-        let emptyv = _mm_set1_epi64x(empty as i64);
-        let mut mask = 0u64;
-        let mut j = 0;
-        while j + 2 <= len {
-            let w = _mm_loadu_si128(ptr.add(j).cast());
-            let eq = _mm_movemask_pd(_mm_castsi128_pd(eq64_sse2(w, emptyv))) as u64;
-            mask |= (!eq & 0x3) << j;
-            j += 2;
-        }
-        while j < len {
-            if ptr.add(j).read() != empty {
-                mask |= 1 << j;
-            }
-            j += 1;
-        }
         mask
     }
 
@@ -894,23 +690,15 @@ pub(crate) mod x86 {
         _mm256_storeu_si256(dst.cast(), _mm256_loadu_si256(src.cast()));
     }
 
-    pub unsafe fn load2_sse2(src: *const u64, dst: *mut u64) {
-        _mm_storeu_si128(dst.cast(), _mm_loadu_si128(src.cast()));
-    }
-
     // -----------------------------------------------------------------
     // 32-bit-cell kernels
     // -----------------------------------------------------------------
     //
-    // Same scans over `u32` cells: twice the lanes per vector, and the
-    // compare ops are *native* at this width (AVX2/SSE2 both have
-    // `cmpeq_epi32`/`cmpgt_epi32`, so no 64-bit synthesis is needed —
-    // the SSE2 tier stops paying the shuffle tax it pays on 64-bit
-    // cells). Masks/thresholds/sentinels arrive as widened `u64`s and
-    // truncate losslessly (sub-word reprs are `< 2^32`; the widened
-    // `u64::MAX` mask truncates to the all-ones 32-bit mask). Each
-    // 4-byte lane of an x86 vector load is individually non-tearing,
-    // exactly as for the 8-byte lanes.
+    // Same scans over `u32` cells: twice the lanes per vector, with
+    // native `cmpeq_epi32`/`cmpgt_epi32` compares. Masks/thresholds/
+    // sentinels arrive as widened `u64`s and truncate losslessly
+    // (sub-word reprs are `< 2^32`; the widened `u64::MAX` mask
+    // truncates to the all-ones 32-bit mask).
 
     /// 32-bit-cell [`scan_le_avx2`]: 8 lanes per 256-bit vector.
     #[inline]
@@ -939,36 +727,7 @@ pub(crate) mod x86 {
             }
             i += 8;
         }
-        tail_le_u32(ptr, i, start, end, key_mask, threshold)
-    }
-
-    /// 32-bit-cell [`scan_le_sse2`]: 4 lanes, native `epi32` compares.
-    #[inline]
-    pub unsafe fn scan_le_sse2_u32(
-        ptr: *const u32,
-        start: usize,
-        end: usize,
-        key_mask: u64,
-        threshold: u64,
-    ) -> ScanHit {
-        let maskv = _mm_set1_epi32(key_mask as u32 as i32);
-        let biasv = _mm_set1_epi32(i32::MIN);
-        let thr = _mm_xor_si128(_mm_set1_epi32(threshold as u32 as i32), biasv);
-        let mut i = start;
-        while i + 4 <= end {
-            let w = _mm_loadu_si128(ptr.add(i).cast());
-            let m = _mm_xor_si128(_mm_and_si128(w, maskv), biasv);
-            let gt = _mm_cmpgt_epi32(m, thr);
-            let le = !(_mm_movemask_ps(_mm_castsi128_ps(gt)) as u32) & 0xF;
-            if le != 0 {
-                let lane = le.trailing_zeros() as usize;
-                let mut lanes = [0u32; 4];
-                _mm_storeu_si128(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane] as u64)), i + 4 - start);
-            }
-            i += 4;
-        }
-        tail_le_u32(ptr, i, start, end, key_mask, threshold)
+        (None, i - start)
     }
 
     /// 32-bit-cell [`scan_for_key_avx2`]: 8 lanes per vector.
@@ -1001,42 +760,10 @@ pub(crate) mod x86 {
             }
             i += 8;
         }
-        tail_key_u32(ptr, i, start, end, empty, key_mask, probe_masked)
+        (None, i - start)
     }
 
-    /// 32-bit-cell [`scan_for_key_sse2`]: 4 lanes, native compares.
-    #[inline]
-    pub unsafe fn scan_for_key_sse2_u32(
-        ptr: *const u32,
-        start: usize,
-        end: usize,
-        empty: u64,
-        key_mask: u64,
-        probe_masked: u64,
-    ) -> ScanHit {
-        let maskv = _mm_set1_epi32(key_mask as u32 as i32);
-        let emptyv = _mm_set1_epi32(empty as u32 as i32);
-        let probev = _mm_set1_epi32(probe_masked as u32 as i32);
-        let mut i = start;
-        while i + 4 <= end {
-            let w = _mm_loadu_si128(ptr.add(i).cast());
-            let stop = _mm_or_si128(
-                _mm_cmpeq_epi32(w, emptyv),
-                _mm_cmpeq_epi32(_mm_and_si128(w, maskv), probev),
-            );
-            let bits = _mm_movemask_ps(_mm_castsi128_ps(stop)) as u32;
-            if bits != 0 {
-                let lane = bits.trailing_zeros() as usize;
-                let mut lanes = [0u32; 4];
-                _mm_storeu_si128(lanes.as_mut_ptr().cast(), w);
-                return (Some((i + lane, lanes[lane] as u64)), i + 4 - start);
-            }
-            i += 4;
-        }
-        tail_key_u32(ptr, i, start, end, empty, key_mask, probe_masked)
-    }
-
-    /// 32-bit-cell occupancy mask: 8 lanes per AVX2 vector.
+    /// 32-bit-cell occupancy mask of `len` cells, `len` a multiple of 8.
     #[target_feature(enable = "avx2")]
     pub unsafe fn nonempty_mask_avx2_u32(ptr: *const u32, len: usize, empty: u64) -> u64 {
         let emptyv = _mm256_set1_epi32(empty as u32 as i32);
@@ -1047,32 +774,6 @@ pub(crate) mod x86 {
             let eq = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(w, emptyv))) as u64;
             mask |= (!eq & 0xFF) << j;
             j += 8;
-        }
-        while j < len {
-            if ptr.add(j).read() as u64 != empty {
-                mask |= 1 << j;
-            }
-            j += 1;
-        }
-        mask
-    }
-
-    /// 32-bit-cell occupancy mask: 4 lanes per SSE2 vector.
-    pub unsafe fn nonempty_mask_sse2_u32(ptr: *const u32, len: usize, empty: u64) -> u64 {
-        let emptyv = _mm_set1_epi32(empty as u32 as i32);
-        let mut mask = 0u64;
-        let mut j = 0;
-        while j + 4 <= len {
-            let w = _mm_loadu_si128(ptr.add(j).cast());
-            let eq = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(w, emptyv))) as u64;
-            mask |= (!eq & 0xF) << j;
-            j += 4;
-        }
-        while j < len {
-            if ptr.add(j).read() as u64 != empty {
-                mask |= 1 << j;
-            }
-            j += 1;
         }
         mask
     }
@@ -1085,93 +786,7 @@ pub(crate) mod x86 {
         _mm_storeu_si128(dst.cast(), _mm_unpacklo_epi32(w, z));
         _mm_storeu_si128(dst.add(2).cast(), _mm_unpackhi_epi32(w, z));
     }
-
-    /// Scalar tail of the 32-bit `<=` scan (widened compares).
-    #[inline(always)]
-    unsafe fn tail_le_u32(
-        ptr: *const u32,
-        mut i: usize,
-        start: usize,
-        end: usize,
-        key_mask: u64,
-        threshold: u64,
-    ) -> ScanHit {
-        while i < end {
-            let c = ptr.add(i).read() as u64;
-            if c & key_mask <= threshold {
-                return (Some((i, c)), i - start + 1);
-            }
-            i += 1;
-        }
-        (None, end - start)
-    }
-
-    /// Scalar tail of the 32-bit key-or-empty scan.
-    #[inline(always)]
-    unsafe fn tail_key_u32(
-        ptr: *const u32,
-        mut i: usize,
-        start: usize,
-        end: usize,
-        empty: u64,
-        key_mask: u64,
-        probe_masked: u64,
-    ) -> ScanHit {
-        while i < end {
-            let c = ptr.add(i).read() as u64;
-            if c == empty || c & key_mask == probe_masked {
-                return (Some((i, c)), i - start + 1);
-            }
-            i += 1;
-        }
-        (None, end - start)
-    }
-
-    /// Scalar tail of the `<=` scan over `[i, end)` (raw loads — same
-    /// lanes the vector body would have examined).
-    #[inline(always)]
-    unsafe fn tail_le(
-        ptr: *const u64,
-        mut i: usize,
-        start: usize,
-        end: usize,
-        key_mask: u64,
-        threshold: u64,
-    ) -> ScanHit {
-        while i < end {
-            let c = ptr.add(i).read();
-            if c & key_mask <= threshold {
-                return (Some((i, c)), i - start + 1);
-            }
-            i += 1;
-        }
-        (None, end - start)
-    }
-
-    /// Scalar tail of the key-or-empty scan over `[i, end)`.
-    #[inline(always)]
-    unsafe fn tail_key(
-        ptr: *const u64,
-        mut i: usize,
-        start: usize,
-        end: usize,
-        empty: u64,
-        key_mask: u64,
-        probe_masked: u64,
-    ) -> ScanHit {
-        while i < end {
-            let c = ptr.add(i).read();
-            if c == empty || c & key_mask == probe_masked {
-                return (Some((i, c)), i - start + 1);
-            }
-            i += 1;
-        }
-        (None, end - start)
-    }
 }
-
-#[cfg(target_arch = "x86_64")]
-use x86::{nonempty_mask_avx2, nonempty_mask_sse2};
 
 #[cfg(test)]
 mod tests {
@@ -1179,24 +794,18 @@ mod tests {
     use std::sync::atomic::{AtomicU32, AtomicU64};
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    /// Serializes every test that sets or reads the process-wide tier
-    /// override, so concurrently running tests never observe another
-    /// test's override.
+    /// Serializes the tests that set or read the process-wide tier
+    /// override, so neither observes the other's override.
     static TIER_LOCK: Mutex<()> = Mutex::new(());
 
     fn lock_tier() -> MutexGuard<'static, ()> {
         TIER_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs `f` under every tier this machine can execute, restoring
-    /// the default afterwards.
-    fn for_each_tier(f: impl Fn(SimdTier)) {
-        let _guard = lock_tier();
-        for t in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
-            set_tier(Some(t));
-            f(tier());
-        }
-        set_tier(None);
+    /// Runs `f` on the AVX2 kernel if this CPU runs it.
+    #[cfg(target_arch = "x86_64")]
+    fn on_avx2<R>(f: impl FnOnce(Avx2) -> R) -> Option<R> {
+        avx2_detected().then(|| f(Avx2(())))
     }
 
     fn cells_of(vals: &[u64]) -> Vec<AtomicU64> {
@@ -1218,156 +827,8 @@ mod tests {
             .collect()
     }
 
-    fn scan_le_ref(
-        cells: &[AtomicU64],
-        start: usize,
-        end: usize,
-        mask: u64,
-        thr: u64,
-    ) -> Option<usize> {
-        (start..end).find(|&i| cells[i].load(Ordering::Relaxed) & mask <= thr)
-    }
-
-    fn scan_key_ref(
-        cells: &[AtomicU64],
-        start: usize,
-        end: usize,
-        empty: u64,
-        mask: u64,
-        probe: u64,
-    ) -> Option<usize> {
-        (start..end).find(|&i| {
-            let c = cells[i].load(Ordering::Relaxed);
-            c == empty || c & mask == probe & mask
-        })
-    }
-
-    #[test]
-    fn tiers_agree_on_scan_le() {
-        let cells = random_cells(257, 0xA11CE);
-        for_each_tier(|t| {
-            for &(start, end) in &[(0usize, 257usize), (3, 250), (100, 103), (7, 7)] {
-                for &thr in &[0u64, 1, 1 << 40, u64::MAX >> 16, u64::MAX] {
-                    for &mask in &[u64::MAX, 0xFFFF_FFFF_0000_0000] {
-                        let expect = scan_le_ref(&cells, start, end, mask, thr);
-                        let (got, lanes) = scan_le(&cells, start, end, mask, thr);
-                        assert_eq!(
-                            got.map(|(i, _)| i),
-                            expect,
-                            "tier {t:?} [{start},{end}) thr {thr:#x} mask {mask:#x}"
-                        );
-                        if let Some((i, v)) = got {
-                            assert_eq!(
-                                v,
-                                cells[i].load(Ordering::Relaxed),
-                                "hit value, tier {t:?}"
-                            );
-                        }
-                        assert!(lanes <= end - start + 3, "lane count sane");
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn tiers_agree_on_scan_for_key() {
-        let cells = random_cells(193, 0xBEE);
-        // Pick probes that actually occur plus ones that do not.
-        let mut probes: Vec<u64> = (0..8)
-            .map(|i| cells[i * 20].load(Ordering::Relaxed))
-            .collect();
-        probes.push(0xDEAD_BEEF_0000_0001);
-        for_each_tier(|t| {
-            for &(start, end) in &[(0usize, 193usize), (5, 188), (60, 64)] {
-                for &probe in &probes {
-                    if probe == 0 {
-                        continue; // probe must be a non-empty repr
-                    }
-                    for &mask in &[u64::MAX, 0xFFFF_FFFF_0000_0000] {
-                        let expect = scan_key_ref(&cells, start, end, 0, mask, probe);
-                        let (got, _) = scan_for_key(&cells, start, end, 0, mask, probe);
-                        assert_eq!(
-                            got.map(|(i, _)| i),
-                            expect,
-                            "tier {t:?} [{start},{end}) probe {probe:#x} mask {mask:#x}"
-                        );
-                        if let Some((i, v)) = got {
-                            assert_eq!(
-                                v,
-                                cells[i].load(Ordering::Relaxed),
-                                "hit value, tier {t:?}"
-                            );
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn tiers_agree_on_nonempty_mask() {
-        let cells = random_cells(64, 7);
-        for_each_tier(|t| {
-            for len in [0usize, 1, 2, 3, 4, 7, 8, 31, 63, 64] {
-                let expect: u64 = (0..len)
-                    .filter(|&j| cells[j].load(Ordering::Relaxed) != 0)
-                    .fold(0, |m, j| m | (1 << j));
-                assert_eq!(
-                    scan_nonempty_mask(&cells[..len], 0),
-                    expect,
-                    "tier {t:?} len {len}"
-                );
-            }
-        });
-    }
-
-    #[test]
-    fn load_window_matches_atomic_loads() {
-        let cells = random_cells(11, 0x10AD);
-        for_each_tier(|t| {
-            for start in 0..cells.len() {
-                for end in start..=cells.len() {
-                    let mut buf = [0u64; MAX_WINDOW];
-                    let k = load_window(&cells, start, end, &mut buf);
-                    assert_eq!(k, (end - start).min(MAX_WINDOW), "tier {t:?}");
-                    for (lane, &got) in buf[..k].iter().enumerate() {
-                        assert_eq!(
-                            got,
-                            cells[start + lane].load(Ordering::Relaxed),
-                            "tier {t:?} start {start} lane {lane}"
-                        );
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn nonzero_empty_sentinel() {
-        let empty = u64::MAX;
-        let cells = cells_of(&[empty, 5, empty, 9, 1, empty]);
-        for_each_tier(|t| {
-            let (hit, _) = scan_for_empty(&cells, 1, 6, empty);
-            assert_eq!(hit, Some((2, empty)), "tier {t:?}");
-            assert_eq!(scan_nonempty_mask(&cells, empty), 0b011010, "tier {t:?}");
-        });
-    }
-
-    #[test]
-    fn scan_le_unsigned_order_across_sign_bit() {
-        // A cell with the top bit set is *greater* than a small
-        // threshold under unsigned order — a signed compare would stop
-        // on it. All tiers must skip it.
-        let cells = cells_of(&[1 << 63, (1 << 63) | 7, 42]);
-        for_each_tier(|t| {
-            let (hit, _) = scan_le(&cells, 0, 3, u64::MAX, 1000);
-            assert_eq!(hit, Some((2, 42)), "tier {t:?}");
-        });
-    }
-
     /// Pseudorandom 32-bit cell array (empties, values straddling the
-    /// 32-bit sign bit) for the sub-word kernel differentials.
+    /// 32-bit sign bit) for the sub-word kernels.
     fn random_cells_u32(n: usize, seed: u64) -> Vec<AtomicU32> {
         (0..n as u64)
             .map(|i| {
@@ -1381,32 +842,258 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn tiers_agree_on_scan_le_u32_cells() {
-        let cells = random_cells_u32(261, 0xC0FFEE);
-        let reference = |start: usize, end: usize, mask: u64, thr: u64| {
-            (start..end).find(|&i| (cells[i].load(Ordering::Relaxed) as u64) & mask <= thr)
-        };
-        for_each_tier(|t| {
-            for &(start, end) in &[(0usize, 261usize), (3, 250), (100, 104), (7, 7), (1, 9)] {
-                for &thr in &[0u64, 1, 1 << 20, (u32::MAX >> 8) as u64, u32::MAX as u64] {
-                    for &mask in &[u64::MAX, 0xFFFF_0000] {
-                        let expect = reference(start, end, mask, thr);
-                        let (got, lanes) = scan_le(&cells, start, end, mask, thr);
+    /// Checks a stop-scan over `[start, end)` whose stop condition is
+    /// `stop`: the scalar kernel's result `scalar` must be the first
+    /// stop lane, its value and the lanes up to it; the AVX2 result
+    /// `wide` (where this CPU runs it) must be the same stop, counting
+    /// whole vectors up to a stop inside them and single cells past the
+    /// last whole vector. Returns the stop.
+    fn check_scan<A: CellAtomic>(
+        cells: &[A],
+        start: usize,
+        end: usize,
+        stop: impl Fn(u64) -> bool,
+        scalar: ScanHit,
+        wide: Option<ScanHit>,
+        what: &str,
+    ) -> Option<(usize, u64)> {
+        let first = (start..end).find(|&i| stop(cells[i].load(Ordering::Relaxed)));
+        let want = (
+            first.map(|i| (i, cells[i].load(Ordering::Relaxed))),
+            first.map_or(end - start, |i| i - start + 1),
+        );
+        assert_eq!(scalar, want, "scalar kernel, {what}");
+        #[cfg(target_arch = "x86_64")]
+        if let Some(wide) = wide {
+            let lanes = Avx2::lanes::<A>();
+            let whole = (end - start) / lanes * lanes;
+            let counted = if want.1 <= whole {
+                want.1.div_ceil(lanes) * lanes
+            } else {
+                want.1
+            };
+            assert_eq!(wide, (want.0, counted), "AVX2 kernel, {what}");
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert!(wide.is_none());
+        want.0
+    }
+
+    fn check_scan_le<A: CellAtomic>(
+        cells: &[A],
+        start: usize,
+        end: usize,
+        mask: u64,
+        thr: u64,
+    ) -> Option<(usize, u64)> {
+        #[cfg(target_arch = "x86_64")]
+        let wide = on_avx2(|k| k.scan_le(cells, start, end, mask, thr));
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide = None;
+        check_scan(
+            cells,
+            start,
+            end,
+            |c| c & mask <= thr,
+            scan_le_scalar(cells, start, end, mask, thr),
+            wide,
+            &format!(
+                "{}-bit [{start},{end}) thr {thr:#x} mask {mask:#x}",
+                A::BITS
+            ),
+        )
+    }
+
+    fn check_scan_for_key<A: CellAtomic>(
+        cells: &[A],
+        start: usize,
+        end: usize,
+        empty: u64,
+        mask: u64,
+        probe: u64,
+    ) -> Option<(usize, u64)> {
+        let probe_masked = probe & mask;
+        #[cfg(target_arch = "x86_64")]
+        let wide = on_avx2(|k| k.scan_for_key(cells, start, end, empty, mask, probe_masked));
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide = None;
+        check_scan(
+            cells,
+            start,
+            end,
+            |c| c == empty || c & mask == probe_masked,
+            scan_for_key_scalar(cells, start, end, empty, mask, probe_masked),
+            wide,
+            &format!(
+                "{}-bit [{start},{end}) probe {probe:#x} mask {mask:#x}",
+                A::BITS
+            ),
+        )
+    }
+
+    fn check_nonempty_mask<A: CellAtomic>(window: &[A], empty: u64) {
+        let want = (0..window.len())
+            .filter(|&j| window[j].load(Ordering::Relaxed) != empty)
+            .fold(0u64, |m, j| m | (1 << j));
+        let len = window.len();
+        assert_eq!(
+            nonempty_mask_scalar(window, empty),
+            want,
+            "scalar kernel, len {len}"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if let Some(mask) = on_avx2(|k| k.nonempty_mask(window, empty)) {
+            assert_eq!(mask, want, "AVX2 kernel, {}-bit len {len}", A::BITS);
+        }
+        assert_eq!(
+            scan_nonempty_mask(window, empty),
+            want,
+            "active tier, len {len}"
+        );
+    }
+
+    /// Every `[start, end)` window of `cells` through [`load_window`] at
+    /// the active tier, and every full window through the AVX2 load.
+    fn check_load_window<A: CellAtomic>(cells: &[A]) {
+        for start in 0..cells.len() {
+            for end in start..=cells.len() {
+                let mut buf = [0u64; MAX_WINDOW];
+                let k = load_window(cells, start, end, &mut buf);
+                assert_eq!(k, (end - start).min(MAX_WINDOW));
+                let want: Vec<u64> = cells[start..start + k]
+                    .iter()
+                    .map(|c| c.load(Ordering::Relaxed))
+                    .collect();
+                assert_eq!(buf[..k], want[..], "active tier, [{start},{end})");
+                #[cfg(target_arch = "x86_64")]
+                if k == MAX_WINDOW {
+                    if let Some(buf) = on_avx2(|a| {
+                        let mut buf = [0u64; MAX_WINDOW];
+                        a.load_full_window(cells, start, &mut buf);
+                        buf
+                    }) {
                         assert_eq!(
-                            got.map(|(i, _)| i),
-                            expect,
-                            "tier {t:?} [{start},{end}) thr {thr:#x} mask {mask:#x}"
+                            buf[..],
+                            want[..],
+                            "AVX2 load, {}-bit start {start}",
+                            A::BITS
                         );
-                        if let Some((i, v)) = got {
-                            assert_eq!(v, cells[i].load(Ordering::Relaxed) as u64);
-                            assert!(v <= u32::MAX as u64, "hit value must be zero-extended");
-                        }
-                        assert!(lanes <= end - start + 7, "lane count sane");
                     }
                 }
             }
-        });
+        }
+    }
+
+    #[test]
+    fn tiers_agree_on_scan_le() {
+        let cells = random_cells(257, 0xA11CE);
+        for &(start, end) in &[(0usize, 257usize), (3, 250), (100, 103), (7, 7)] {
+            for &thr in &[0u64, 1, 1 << 40, u64::MAX >> 16, u64::MAX] {
+                for &mask in &[u64::MAX, 0xFFFF_FFFF_0000_0000] {
+                    check_scan_le(&cells, start, end, mask, thr);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiers_agree_on_scan_for_key() {
+        let cells = random_cells(193, 0xBEE);
+        // Pick probes that actually occur plus ones that do not.
+        let mut probes: Vec<u64> = (0..8)
+            .map(|i| cells[i * 20].load(Ordering::Relaxed))
+            .collect();
+        probes.push(0xDEAD_BEEF_0000_0001);
+        for &(start, end) in &[(0usize, 193usize), (5, 188), (60, 64)] {
+            // A probe must be a non-empty repr.
+            for &probe in probes.iter().filter(|&&p| p != 0) {
+                for &mask in &[u64::MAX, 0xFFFF_FFFF_0000_0000] {
+                    check_scan_for_key(&cells, start, end, 0, mask, probe);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiers_agree_on_nonempty_mask() {
+        let cells = random_cells(64, 7);
+        for len in [0usize, 1, 2, 3, 4, 7, 8, 31, 63, 64] {
+            check_nonempty_mask(&cells[..len], 0);
+        }
+    }
+
+    #[test]
+    fn load_window_matches_atomic_loads() {
+        check_load_window(&random_cells(11, 0x10AD));
+    }
+
+    #[test]
+    fn nonzero_empty_sentinel() {
+        let empty = u64::MAX;
+        let cells = cells_of(&[empty, 5, empty, 9, 1, empty, 3, 4, 6, empty]);
+        let hit = check_scan_for_key(&cells, 1, 10, empty, u64::MAX, empty);
+        assert_eq!(hit, Some((2, empty)));
+        assert_eq!(scan_for_empty(&cells, 1, 10, empty).0, hit, "active tier");
+        assert_eq!(
+            check_scan_for_key(&cells, 6, 10, empty, u64::MAX, empty),
+            Some((9, empty))
+        );
+        check_nonempty_mask(&cells, empty);
+        check_nonempty_mask(&cells[..6], empty);
+    }
+
+    #[test]
+    fn scan_le_unsigned_order_across_sign_bit() {
+        // A cell with the top bit set is *greater* than a small
+        // threshold under unsigned order — a signed compare would stop
+        // on it. Both kernels must skip it, inside a vector and past
+        // the last whole one.
+        let cells = cells_of(&[1 << 63, (1 << 63) | 7, u64::MAX, 42, 1 << 63, 42]);
+        assert_eq!(check_scan_le(&cells, 0, 6, u64::MAX, 1000), Some((3, 42)));
+        assert_eq!(check_scan_le(&cells, 4, 6, u64::MAX, 1000), Some((5, 42)));
+    }
+
+    #[test]
+    fn every_stop_lane_of_vectors_and_tail() {
+        // One stop lane at each position of ranges up to two 32-bit
+        // vectors plus a tail, after a prefix the scan must not look
+        // at: every lane of a whole vector and of the scalar tail is
+        // the stop once, at both cell widths.
+        for start in [0usize, 3] {
+            for len in 0..=20usize {
+                for stop in start..=start + len {
+                    let vals: Vec<u64> = (0..start + len)
+                        .map(|i| if i < start || i == stop { 5 } else { 1 << 31 })
+                        .collect();
+                    let wide = cells_of(&vals);
+                    let narrow: Vec<AtomicU32> =
+                        vals.iter().map(|&v| AtomicU32::new(v as u32)).collect();
+                    let end = start + len;
+                    let want = (stop < end).then_some((stop, 5));
+                    assert_eq!(check_scan_le(&wide, start, end, u64::MAX, 5), want);
+                    assert_eq!(check_scan_le(&narrow, start, end, u64::MAX, 5), want);
+                    assert_eq!(check_scan_for_key(&wide, start, end, 0, u64::MAX, 5), want);
+                    assert_eq!(
+                        check_scan_for_key(&narrow, start, end, 0, u64::MAX, 5),
+                        want
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiers_agree_on_scan_le_u32_cells() {
+        let cells = random_cells_u32(261, 0xC0FFEE);
+        for &(start, end) in &[(0usize, 261usize), (3, 250), (100, 104), (7, 7), (1, 9)] {
+            for &thr in &[0u64, 1, 1 << 20, (u32::MAX >> 8) as u64, u32::MAX as u64] {
+                for &mask in &[u64::MAX, 0xFFFF_0000] {
+                    if let Some((_, v)) = check_scan_le(&cells, start, end, mask, thr) {
+                        assert!(v <= u32::MAX as u64, "hit value must be zero-extended");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1416,72 +1103,39 @@ mod tests {
             .map(|i| cells[i * 20].load(Ordering::Relaxed) as u64)
             .collect();
         probes.push(0xDEAD_0001);
-        for_each_tier(|t| {
-            for &(start, end) in &[(0usize, 197usize), (5, 188), (60, 65)] {
-                for &probe in &probes {
-                    if probe == 0 {
-                        continue;
-                    }
-                    for &mask in &[u64::MAX, 0xFFFF_0000] {
-                        let expect = (start..end).find(|&i| {
-                            let c = cells[i].load(Ordering::Relaxed) as u64;
-                            c == 0 || c & (mask & u32::MAX as u64) == probe & mask & u32::MAX as u64
-                        });
-                        let (got, _) = scan_for_key(&cells, start, end, 0, mask, probe);
-                        assert_eq!(
-                            got.map(|(i, _)| i),
-                            expect,
-                            "tier {t:?} [{start},{end}) probe {probe:#x} mask {mask:#x}"
-                        );
-                    }
+        for &(start, end) in &[(0usize, 197usize), (5, 188), (60, 65)] {
+            for &probe in probes.iter().filter(|&&p| p != 0) {
+                for &mask in &[u64::MAX, 0xFFFF_0000] {
+                    check_scan_for_key(&cells, start, end, 0, mask, probe);
                 }
             }
-        });
+        }
     }
 
     #[test]
     fn tiers_agree_on_nonempty_mask_and_window_u32_cells() {
         let cells = random_cells_u32(64, 11);
-        for_each_tier(|t| {
-            for len in [0usize, 1, 3, 4, 5, 8, 9, 31, 63, 64] {
-                let expect: u64 = (0..len)
-                    .filter(|&j| cells[j].load(Ordering::Relaxed) != 0)
-                    .fold(0, |m, j| m | (1 << j));
-                assert_eq!(
-                    scan_nonempty_mask(&cells[..len], 0),
-                    expect,
-                    "tier {t:?} len {len}"
-                );
-            }
-            for start in 0..12 {
-                for end in start..=12 {
-                    let mut buf = [0u64; MAX_WINDOW];
-                    let k = load_window(&cells, start, end, &mut buf);
-                    assert_eq!(k, (end - start).min(MAX_WINDOW), "tier {t:?}");
-                    for (lane, &got) in buf[..k].iter().enumerate() {
-                        assert_eq!(
-                            got,
-                            cells[start + lane].load(Ordering::Relaxed) as u64,
-                            "tier {t:?} start {start} lane {lane}"
-                        );
-                    }
-                }
-            }
-        });
+        for len in [0usize, 1, 3, 4, 5, 8, 9, 31, 63, 64] {
+            check_nonempty_mask(&cells[..len], 0);
+        }
+        check_load_window(&cells[..12]);
     }
 
     #[test]
     fn u32_scan_le_unsigned_order_across_sign_bit() {
         // The 32-bit sign-bias trick: a cell with bit 31 set is greater
         // than a small threshold under unsigned order.
-        let cells: Vec<AtomicU32> = [1u32 << 31, (1 << 31) | 7, 42]
+        let high = [1u32 << 31, (1 << 31) | 7, u32::MAX, (1 << 31) | 1000];
+        let vals: Vec<u32> = high
             .iter()
-            .map(|&v| AtomicU32::new(v))
+            .chain(&[42])
+            .chain(&high)
+            .chain(&[1 << 31, 42])
+            .copied()
             .collect();
-        for_each_tier(|t| {
-            let (hit, _) = scan_le(&cells, 0, 3, u64::MAX, 1000);
-            assert_eq!(hit, Some((2, 42)), "tier {t:?}");
-        });
+        let cells: Vec<AtomicU32> = vals.iter().map(|&v| AtomicU32::new(v)).collect();
+        assert_eq!(check_scan_le(&cells, 0, 11, u64::MAX, 1000), Some((4, 42)));
+        assert_eq!(check_scan_le(&cells, 5, 11, u64::MAX, 1000), Some((10, 42)));
     }
 
     #[test]
@@ -1490,8 +1144,28 @@ mod tests {
         let a = tier();
         let b = tier();
         assert_eq!(a, b);
+        #[cfg(target_arch = "x86_64")]
+        let has_avx2 = !cfg!(miri) && is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
-        assert_eq!(a, SimdTier::Scalar);
+        let has_avx2 = false;
+        let detected = if has_avx2 {
+            SimdTier::Avx2
+        } else {
+            SimdTier::Scalar
+        };
+        // Unset, empty or unrecognized: the detected default.
+        match std::env::var("PHC_SIMD").ok().as_deref() {
+            Some("scalar") => assert_eq!(env_tier(), SimdTier::Scalar),
+            env => assert_eq!(env_tier(), detected, "PHC_SIMD={env:?}"),
+        }
+        set_tier(Some(SimdTier::Avx2));
+        assert_eq!(
+            tier(),
+            detected,
+            "a forced Avx2 clamps to what the CPU runs"
+        );
+        set_tier(None);
+        assert_eq!(tier(), a);
     }
 
     #[test]

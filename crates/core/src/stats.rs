@@ -15,7 +15,7 @@ use crate::entry::HashEntry;
 /// counter behind every open-addressing table's `len()`. Parallel over
 /// blocks; each block popcounts the wide-scan occupancy masks of its
 /// 64-cell windows ([`crate::simd::scan_nonempty_mask`]), so at the
-/// SSE2/AVX2 tiers the count never materializes per-cell booleans.
+/// AVX2 tier the count never materializes per-cell booleans.
 /// Cell width follows the entry type's `Repr`. Quiescent use only
 /// (like `len()` always was).
 pub fn occupied_len<E: HashEntry>(cells: &[AtomOf<E::Repr>]) -> usize {

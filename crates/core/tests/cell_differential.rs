@@ -32,7 +32,7 @@ fn lock() -> MutexGuard<'static, ()> {
     TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-const TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2];
+const TIERS: [SimdTier; 2] = [SimdTier::Scalar, SimdTier::Avx2];
 
 fn with_tier<R>(t: SimdTier, f: impl FnOnce() -> R) -> R {
     set_tier(Some(t));

@@ -30,7 +30,7 @@ fn lock() -> MutexGuard<'static, ()> {
     TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-const TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2];
+const TIERS: [SimdTier; 2] = [SimdTier::Scalar, SimdTier::Avx2];
 const THREADS: [usize; 3] = [1, 2, 8];
 
 /// Cell counts for a 2^12 table at loads 1/3, 1/2, and 3/4.

@@ -88,9 +88,9 @@ fn det_workload_emits_counters_histogram_and_timeline_cycle() {
 /// A grow→delete→shrink cycle on packed 32-bit cells must leave
 /// nonzero traces of every PR 9 instrument: shrink epochs and
 /// migrated-entry counts, a bytes-per-key gauge level, and 32-bit
-/// SIMD lanes scanned (on hosts with at least the SSE2 tier; the
-/// scalar fallback legitimately scans no wide lanes, so that counter
-/// is asserted only when a wide tier is active).
+/// SIMD lanes scanned (on hosts running the AVX2 tier; the scalar
+/// tier legitimately scans no wide lanes, so that counter is asserted
+/// only when the AVX2 tier is active).
 #[test]
 fn shrink_cycle_emits_shrink_counters_and_memory_gauge() {
     let _rooms = ROOMS.lock().unwrap_or_else(|e| e.into_inner());

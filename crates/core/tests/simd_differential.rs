@@ -1,5 +1,5 @@
-//! Differential suite for the SIMD scanning layer: every dispatch tier
-//! (`Scalar`, `Sse2`, `Avx2`) must produce *identical* observable
+//! Differential suite for the SIMD scanning layer: both dispatch tiers
+//! (`Scalar`, `Avx2`) must produce *identical* observable
 //! results — raw cell layouts for the history-independent table,
 //! find/elements/len answers for every table, and migrated contents
 //! after a resize — at light, medium, and heavy loads, including after
@@ -29,10 +29,9 @@ fn lock() -> MutexGuard<'static, ()> {
     TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// All tiers worth comparing on this machine. `set_tier` clamps
-/// unavailable tiers downward, so requesting Avx2 on an SSE2-only host
-/// still runs a valid (downgraded) configuration.
-const TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2];
+/// Both tiers. `set_tier` clamps unavailable tiers downward, so
+/// requesting Avx2 on a host without it runs the scalar tier twice.
+const TIERS: [SimdTier; 2] = [SimdTier::Scalar, SimdTier::Avx2];
 
 fn with_tier<R>(t: SimdTier, f: impl FnOnce() -> R) -> R {
     set_tier(Some(t));
